@@ -50,17 +50,11 @@ class ReasoningRequest:
     """Context segments for one call, e.g. [q; s; p_v; v; p_r] for a refine."""
 
     context: tuple[str, ...]
-    max_response_tokens: int = 65536
-    temperature: float = 0.6
     request_seed: int | None = None
 
     def __post_init__(self):
         if not self.context:
             raise ValueError("context must be non-empty")
-        if self.max_response_tokens < 1:
-            raise ValueError("max_response_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def rendered(self) -> str:
         return CONTEXT_SEPARATOR.join(self.context)
@@ -93,9 +87,21 @@ def strip_thinking(full_text: str) -> tuple[str, bool]:
     return (before.strip() + "\n" + after.strip()).strip(), False
 
 
+def thinking_text(full_text: str) -> str:
+    """The content of the block strip_thinking removes, without delimiters;
+    empty when the text has no thinking block."""
+    start = full_text.find(THINK_OPEN)
+    if start == -1:
+        return ""
+    start += len(THINK_OPEN)
+    end = full_text.find(THINK_CLOSE, start)
+    return full_text[start:] if end == -1 else full_text[start:end]
+
+
 @dataclass(frozen=True)
 class BackendConfig:
-    """HTTP backend settings; the auth token is named by env var, never inline."""
+    """HTTP backend settings, including the sampling parameters every request
+    carries; the auth token is named by env var, never inline."""
 
     endpoint: str
     model: str
@@ -114,6 +120,10 @@ class BackendConfig:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
+        if self.max_response_tokens < 1:
+            raise ValueError("max_response_tokens must be >= 1")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 class HttpBackend:
@@ -151,8 +161,8 @@ class HttpBackend:
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": request.rendered()}],
-            "max_tokens": request.max_response_tokens,
-            "temperature": request.temperature,
+            "max_tokens": self.config.max_response_tokens,
+            "temperature": self.config.temperature,
         }
         if request.request_seed is not None:
             body["seed"] = request.request_seed

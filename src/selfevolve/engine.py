@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .answers import AnswerKey, extract_answer, normalize_answer
-from .backend import BackendError, ReasoningRequest, ResponseTruncated
+from .backend import BackendError, ReasoningRequest, ResponseTruncated, thinking_text
 from .seeds import derive_seed
 from .store import Event, RunLog, RunStore
 
@@ -49,9 +49,8 @@ RUNNING = "running"
 COMPLETED = "completed"
 ACCEPTED_EXIT = "accepted_exit"
 REJECTED_EXIT = "rejected_exit"
-ABORTED = "aborted"
 
-TERMINAL_STATUSES = {COMPLETED, ACCEPTED_EXIT, REJECTED_EXIT, ABORTED}
+TERMINAL_STATUSES = {COMPLETED, ACCEPTED_EXIT, REJECTED_EXIT}
 
 FAILURE_TRUNCATED = "truncated"
 FAILURE_UNPARSEABLE = "unparseable"
@@ -86,7 +85,16 @@ class IterationRecord:
     completion_tokens: int = 0
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "index": self.index,
+            "solution_text": self.solution_text,
+            "answer": self.answer,
+            "verification_text": self.verification_text,
+            "verdict": self.verdict,
+            "failure": self.failure,
+            "prompt_tokens": self.prompt_tokens,
+            "completion_tokens": self.completion_tokens,
+        }
 
     @classmethod
     def from_dict(cls, d: dict) -> "IterationRecord":
@@ -132,53 +140,43 @@ def _noop_emit(kind: str, payload: dict) -> None:
     pass
 
 
-def _call(backend, context: tuple[str, ...], seed: int, emit, phase: str,
-          max_response_tokens: int = 65536, temperature: float = 0.6):
-    """One backend invocation with event bookkeeping.
+def _call(backend, context: tuple[str, ...], seed: int, emit, phase: str, attempt: int):
+    """One backend invocation; emits a "Call" entry with what the committed
+    record cannot reproduce: the thinking text, usage, or the failure.
 
     Returns (response, None) or (None, failure_kind).
     """
-    request = ReasoningRequest(
-        context=context,
-        max_response_tokens=max_response_tokens,
-        temperature=temperature,
-        request_seed=seed,
-    )
-    emit("CallSent", {"phase": phase, "seed": seed, "context": list(context)})
+    call = {"phase": phase, "attempt": attempt}
     try:
-        response = backend.reasoning_call(request)
+        response = backend.reasoning_call(ReasoningRequest(context=context, request_seed=seed))
     except ResponseTruncated as e:
-        emit("CallReceived", {"phase": phase, "failure": FAILURE_TRUNCATED,
-                              "partial_text": e.partial_text})
+        call.update(failure=FAILURE_TRUNCATED, partial_text=e.partial_text)
+        emit("Call", call)
         return None, FAILURE_TRUNCATED
     except BackendError as e:
-        emit("CallReceived", {"phase": phase, "failure": FAILURE_BACKEND,
-                              "error": str(e)})
+        call.update(failure=FAILURE_BACKEND, error=str(e))
+        emit("Call", call)
         return None, FAILURE_BACKEND
-    emit("CallReceived", {
-        "phase": phase,
-        "full_text": response.full_text,
-        "summary_text": response.summary_text,
-        "prompt_tokens": response.prompt_tokens,
-        "completion_tokens": response.completion_tokens,
-    })
+    call.update(thinking=thinking_text(response.full_text),
+                prompt_tokens=response.prompt_tokens,
+                completion_tokens=response.completion_tokens)
+    emit("Call", call)
     return response, None
 
 
-def _call_with_reask(backend, context, base_seed, emit, phase, config,
-                     parsed_ok) -> tuple[object | None, str | None]:
-    """Call, re-asking with the same context up to max_parse_retries when the
-    response parses to nothing (distinguishes format lapses from real failure)."""
-    failure = None
+def _call_with_reask(backend, context, base_seed, emit, phase, config, parse):
+    """Call, re-asking with the same context up to max_parse_retries when
+    parse(summary) returns None (distinguishes format lapses from real
+    failure). Returns (response, parsed value, failure_kind)."""
     for attempt in range(config.max_parse_retries + 1):
         seed = derive_seed(base_seed, "attempt", attempt)
-        response, failure = _call(backend, context, seed, emit, phase)
+        response, failure = _call(backend, context, seed, emit, phase, attempt)
         if failure is not None:
-            return None, failure
-        if parsed_ok(response.summary_text):
-            return response, None
-        failure = FAILURE_UNPARSEABLE
-    return response, failure
+            return None, None, failure
+        parsed = parse(response.summary_text)
+        if parsed is not None:
+            return response, parsed, None
+    return response, None, FAILURE_UNPARSEABLE
 
 
 def solve(backend, question: str, prompts: PromptSet, seed: int,
@@ -186,15 +184,11 @@ def solve(backend, question: str, prompts: PromptSet, seed: int,
     """Initial record: one reasoning call on [solve_prompt; q]."""
     if not question:
         raise ValueError("question must be non-empty")
-    emit("SolveStarted", {"seed": seed})
     context = (prompts.solve_prompt, question)
-    response, failure = _call_with_reask(
-        backend, context, seed, emit, "solve", config,
-        parsed_ok=lambda text: extract_answer(text) is not None,
-    )
+    response, answer, failure = _call_with_reask(
+        backend, context, seed, emit, "solve", config, extract_answer)
     if response is None:
         return IterationRecord(index=0, solution_text="", failure=failure)
-    answer = extract_answer(response.summary_text)
     return IterationRecord(
         index=0,
         solution_text=response.summary_text,
@@ -222,15 +216,13 @@ def verify(backend, question: str, solution: str, prompts: PromptSet, seed: int,
     if not solution:
         raise ValueError("solution must be non-empty")
     context = (question, solution, prompts.verify_prompt)
-    response, failure = _call_with_reask(
-        backend, context, seed, emit, "verify", config,
-        parsed_ok=lambda text: parse_verdict(text) is not None,
-    )
+    response, verdict, failure = _call_with_reask(
+        backend, context, seed, emit, "verify", config, parse_verdict)
     if response is None:
         return None, None, failure, (0, 0)
     return (
         response.summary_text,
-        parse_verdict(response.summary_text),
+        verdict,
         failure,
         (response.prompt_tokens, response.completion_tokens),
     )
@@ -246,10 +238,8 @@ def refine(backend, question: str, solution: str, verification_text: str,
     """
     context = (question, solution, prompts.verify_prompt, verification_text,
                prompts.refine_prompt)
-    response, failure = _call_with_reask(
-        backend, context, seed, emit, "refine", config,
-        parsed_ok=lambda text: extract_answer(text) is not None,
-    )
+    response, answer, failure = _call_with_reask(
+        backend, context, seed, emit, "refine", config, extract_answer)
     if failure is not None:
         if config.carry_forward_on_failure:
             return IterationRecord(
@@ -260,7 +250,6 @@ def refine(backend, question: str, solution: str, verification_text: str,
             )
         text = response.summary_text if response is not None else ""
         return IterationRecord(index=prior.index + 1, solution_text=text, failure=failure)
-    answer = extract_answer(response.summary_text)
     return IterationRecord(
         index=prior.index + 1,
         solution_text=response.summary_text,
@@ -271,20 +260,49 @@ def refine(backend, question: str, solution: str, verification_text: str,
 
 
 def _trial_emitter(log: RunLog | None, trial_id: tuple[str, int]):
+    """Emitter that appends one trial's events to the log.
+
+    "Call" entries are buffered and written as payload["calls"] of the next
+    IterationCommitted, so each iteration costs one append.
+    """
     if log is None:
         return _noop_emit
+    calls: list[dict] = []
 
     def emit(kind: str, payload: dict) -> None:
+        nonlocal calls
+        if kind == "Call":
+            calls.append(payload)
+            return
+        if kind == "IterationCommitted":
+            payload["calls"], calls = calls, []
         log.append(kind, payload, trial_id=trial_id)
 
     return emit
 
 
-def _commit(emit, record: IterationRecord, extra: dict | None = None) -> None:
-    payload = {"record": record.to_dict()}
-    if extra:
-        payload.update(extra)
-    emit("IterationCommitted", payload)
+def _commit(emit, record: IterationRecord) -> None:
+    emit("IterationCommitted", {"record": record.to_dict()})
+
+
+def _after_verify(backend, question: str, prompts: PromptSet, seed: int,
+                  prior: IterationRecord, verification, config: ControllerConfig,
+                  emit) -> IterationRecord:
+    """The record that follows a verification the controller acts on: the
+    prior state carried forward when the verify call failed, else a refine."""
+    v_text, verdict, v_failure, v_usage = verification
+    n = prior.index + 1
+    if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND):
+        return IterationRecord(index=n, solution_text=prior.solution_text,
+                               answer=prior.answer, failure=v_failure)
+    record = refine(backend, question, prior.solution_text or "(no solution)",
+                    v_text or "", prompts, derive_seed(seed, n, "refine"),
+                    prior, config, emit)
+    record.verification_text = v_text
+    record.verdict = verdict
+    record.prompt_tokens += v_usage[0]
+    record.completion_tokens += v_usage[1]
+    return record
 
 
 def run_dser_trial(config: ControllerConfig, backend, question: str,
@@ -305,21 +323,11 @@ def run_dser_trial(config: ControllerConfig, backend, question: str,
     while len(state.records) <= config.max_iterations:
         n = len(state.records)
         prior = state.records[-1]
-        v_text, verdict, v_failure, v_usage = verify(
+        verification = verify(
             backend, question, prior.solution_text or "(no solution)",
             prompts, derive_seed(seed, n, "verify"), config, emit)
-        if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND):
-            record = IterationRecord(
-                index=n, solution_text=prior.solution_text, answer=prior.answer,
-                failure=v_failure)
-        else:
-            record = refine(backend, question, prior.solution_text or "(no solution)",
-                            v_text or "", prompts, derive_seed(seed, n, "refine"),
-                            prior, config, emit)
-            record.verification_text = v_text
-            record.verdict = verdict
-            record.prompt_tokens += v_usage[0]
-            record.completion_tokens += v_usage[1]
+        record = _after_verify(backend, question, prompts, seed, prior, verification,
+                               config, emit)
         state.records.append(record)
         _commit(emit, record)
     state.status = COMPLETED
@@ -358,13 +366,17 @@ def run_verdep_trial(config: ControllerConfig, backend, question: str,
                        derive_seed(seed, 0, "solve"), config, emit)
         state.records.append(record)
         _commit(emit, record)
+    # The streaks rebuilt from the records are tested before the first call,
+    # so a trial resumed after its exit record exits without another call.
     passes, fails = _verdep_streaks(state.records)
-    while len(state.records) <= config.max_iterations:
+    while (passes < config.accept_limit and fails < config.reject_limit
+           and len(state.records) <= config.max_iterations):
         n = len(state.records)
         prior = state.records[-1]
-        v_text, verdict, v_failure, v_usage = verify(
+        verification = verify(
             backend, question, prior.solution_text or "(no solution)",
             prompts, derive_seed(seed, n, "verify"), config, emit)
+        v_text, verdict, _, v_usage = verification
         if verdict == 1:
             passes, fails = passes + 1, 0
             record = IterationRecord(
@@ -373,28 +385,12 @@ def run_verdep_trial(config: ControllerConfig, backend, question: str,
                 prompt_tokens=v_usage[0], completion_tokens=v_usage[1])
         else:
             passes, fails = 0, fails + 1
-            if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND):
-                record = IterationRecord(
-                    index=n, solution_text=prior.solution_text, answer=prior.answer,
-                    failure=v_failure)
-            else:
-                record = refine(backend, question, prior.solution_text or "(no solution)",
-                                v_text or "", prompts, derive_seed(seed, n, "refine"),
-                                prior, config, emit)
-                record.verification_text = v_text
-                record.verdict = verdict
-                record.prompt_tokens += v_usage[0]
-                record.completion_tokens += v_usage[1]
+            record = _after_verify(backend, question, prompts, seed, prior, verification,
+                                   config, emit)
         state.records.append(record)
-        _commit(emit, record, {"pass_streak": passes, "fail_streak": fails})
-        if passes >= config.accept_limit:
-            state.status = ACCEPTED_EXIT
-            break
-        if fails >= config.reject_limit:
-            state.status = REJECTED_EXIT
-            break
-    else:
-        state.status = COMPLETED
+        _commit(emit, record)
+    state.status = (ACCEPTED_EXIT if passes >= config.accept_limit else
+                    REJECTED_EXIT if fails >= config.reject_limit else COMPLETED)
     emit("TrialExited", {"status": state.status})
     return state
 
@@ -438,28 +434,6 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
         elif ev.kind == "TrialExited":
             st.status = ev.payload["status"]
     return states
-
-
-def resume_points(manifest: dict, states: dict[tuple[str, int], TrialState]) -> dict:
-    """Next action per non-terminal trial, sufficient to reproduce the
-    uninterrupted log on a deterministic backend."""
-    actions: dict[tuple[str, int], dict] = {}
-    for tid, st in states.items():
-        if st.status in TERMINAL_STATUSES:
-            continue
-        if not st.records:
-            actions[tid] = {"action": "solve", "next_index": 0,
-                            "seed": derive_seed(st.seed, 0, "solve")}
-        else:
-            n = len(st.records)
-            action = {"action": "verify", "next_index": n,
-                      "seed": derive_seed(st.seed, n, "verify")}
-            if st.controller == VERDEP:
-                passes, fails = _verdep_streaks(st.records)
-                action["pass_streak"] = passes
-                action["fail_streak"] = fails
-            actions[tid] = action
-    return actions
 
 
 def build_manifest(run_id: str, run_seed: int, problems: list[Problem],
@@ -519,14 +493,19 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
 
 def resume_experiment(store: RunStore, run_id: str, backend,
                       parallelism: int = 8, store_sync: str = "always") -> None:
-    """Complete the remaining trials of a half-finished run."""
-    manifest, states = store.load_run(run_id)
-    if any(e.kind == "RunFinalized" for e in store.events(run_id)):
-        return
+    """Complete the remaining trials of a half-finished run.
+
+    The log is read once, by the append handle; the trial states are rebuilt
+    from the events it parsed.
+    """
+    manifest = store.manifest(run_id)
     config = ControllerConfig(**manifest["config"]["controller"])
     prompts = PromptSet(**manifest["config"].get("prompts", {}))
     log = store.open_log(run_id, sync=store_sync)
     try:
+        if log.finalized:
+            return
+        states = rebuild_trial_states(manifest, log.events)
         _execute_trials(manifest, states, config, backend, prompts, log, parallelism)
         log.append("RunFinalized", {})
     finally:

@@ -6,6 +6,10 @@ IterationCommitted event is the sole authority for a record's existence, so a
 crash mid-iteration simply loses that iteration and nothing else. A trailing
 partial line is treated as an interrupted write and discarded on load;
 anything else malformed is a corrupt log.
+
+Schema 2 appends one IterationCommitted {record, calls} per iteration, then
+TrialExited and RunFinalized; schema 1 logs, which also hold per-call events,
+still load because rebuilding reads only the commit kinds.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 COMMIT_KINDS = {"IterationCommitted", "TrialExited", "RunFinalized"}
 
@@ -54,7 +58,8 @@ class RunLog:
 
     sync="always" fsyncs every append; "commit" fsyncs only on commit-authority
     kinds (iteration/trial/run boundaries); "flush" never fsyncs. All modes
-    keep strict prefix semantics under truncation.
+    keep strict prefix semantics under truncation. The events parsed when an
+    existing log is opened stay in `events`, so a resume reads the log once.
     """
 
     def __init__(self, path: Path, sync: str = "always"):
@@ -64,12 +69,14 @@ class RunLog:
         self._sync = sync
         self._lock = threading.Lock()
         self._next_seq = 1
-        self._finalized = False
+        self.finalized = False
+        self.events: list[Event] = []
         if path.exists():
             events, discarded_tail = _read_events(path)
+            self.events = events
             if events:
                 self._next_seq = events[-1].seq + 1
-                self._finalized = any(e.kind == "RunFinalized" for e in events)
+                self.finalized = any(e.kind == "RunFinalized" for e in events)
             if discarded_tail:
                 # drop the interrupted final write so new appends start on a
                 # fresh line instead of extending the partial one
@@ -88,7 +95,7 @@ class RunLog:
     def append(self, kind: str, payload: dict, trial_id: tuple[str, int] | None = None) -> int:
         """Write one event; it is durable (per sync mode) before returning."""
         with self._lock:
-            if self._finalized:
+            if self.finalized:
                 raise RunFinalized("cannot append to a finalized run")
             seq = self._next_seq
             record = {
@@ -109,7 +116,7 @@ class RunLog:
                 raise StoreUnavailable(str(e)) from e
             self._next_seq = seq + 1
             if kind == "RunFinalized":
-                self._finalized = True
+                self.finalized = True
             return seq
 
     def close(self) -> None:

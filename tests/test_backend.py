@@ -64,9 +64,9 @@ def test_request_validation():
     with pytest.raises(ValueError):
         ReasoningRequest(context=())
     with pytest.raises(ValueError):
-        ReasoningRequest(context=("q",), max_response_tokens=0)
+        BackendConfig(endpoint="e", model="m", max_response_tokens=0)
     with pytest.raises(ValueError):
-        ReasoningRequest(context=("q",), temperature=-1)
+        BackendConfig(endpoint="e", model="m", temperature=-1)
 
 
 # --- mock backend ------------------------------------------------------------
@@ -201,9 +201,18 @@ def test_http_truncation_surfaced():
     with StubChatServer([completion("partial tex", finish_reason="length")]) as server:
         backend = HttpBackend(_http_config(server.endpoint))
         with pytest.raises(ResponseTruncated) as err:
-            backend.reasoning_call(
-                ReasoningRequest(context=("q",), max_response_tokens=1, request_seed=1))
+            backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert err.value.partial_text == "partial tex"
+
+
+def test_http_sends_configured_sampling_parameters():
+    with StubChatServer([completion("ok")]) as server:
+        backend = HttpBackend(_http_config(server.endpoint, temperature=0.0,
+                                           max_response_tokens=128))
+        backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    body = server.requests[0]
+    assert body["temperature"] == 0.0
+    assert body["max_tokens"] == 128
 
 
 def test_http_retries_then_succeeds():

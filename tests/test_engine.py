@@ -1,3 +1,6 @@
+import json
+import shutil
+
 import pytest
 
 from selfevolve.answers import AnswerKey, extract_answer
@@ -22,7 +25,7 @@ from selfevolve.engine import (
     TrialState,
     rebuild_trial_states,
     refine,
-    resume_points,
+    resume_experiment,
     run_dser_trial,
     run_experiment,
     run_verdep_trial,
@@ -30,7 +33,7 @@ from selfevolve.engine import (
     trial_seed,
     verify,
 )
-from selfevolve.store import RunStore
+from selfevolve.store import RunStore, run_dir
 
 from fixtures import CASE_BLOCKS, PENTAGON_PROBLEM
 
@@ -69,6 +72,18 @@ class ScriptedBackend:
         summary, malformed = strip_thinking(text)
         return ReasoningResponse(full_text=text, summary_text=summary,
                                  malformed_thinking=malformed)
+
+
+class RecordingBackend:
+    """Passes calls through, keeping every request's context."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.contexts = []
+
+    def reasoning_call(self, request):
+        self.contexts.append(request.context)
+        return self.inner.reasoning_call(request)
 
 
 # --- solve / verify / refine -------------------------------------------------
@@ -175,19 +190,15 @@ def test_dser_horizon_exactness():
 
 def test_dser_markov_context_property():
     # every call context is (q, s, p_v) or (q, s, p_v, v, p_r): no history
-    backend = MockBackend(make_spec())
+    backend = RecordingBackend(MockBackend(make_spec()))
     config = ControllerConfig(kind=DSER, max_iterations=5)
-    contexts = []
-
-    def emit(kind, payload):
-        if kind == "CallSent":
-            contexts.append(payload["context"])
-
-    state = run_dser_trial(config, backend, "the question", PROMPTS, seed=9, emit=emit)
+    state = run_dser_trial(config, backend, "the question", PROMPTS, seed=9)
     solutions = [r.solution_text for r in state.records]
+    contexts = backend.contexts
+    assert len(contexts) == 1 + 2 * config.max_iterations
     for ctx in contexts:
         if len(ctx) == 2:
-            assert ctx == [PROMPTS.solve_prompt, "the question"]
+            assert ctx == (PROMPTS.solve_prompt, "the question")
         elif len(ctx) == 3:
             assert ctx[0] == "the question"
             assert ctx[1] in solutions
@@ -323,25 +334,6 @@ def test_run_experiment_deterministic_across_parallelism(tmp_path):
                 [r.to_dict() for r in states2[tid].records])
 
 
-def test_resume_points_fresh_and_midway(tmp_path):
-    store, run_id = run_mock_experiment(tmp_path, k=2, horizon=4)
-    manifest, states = store.load_run(run_id)
-    assert resume_points(manifest, states) == {}
-
-    # drop the terminal events and last iterations of one trial
-    events = store.events(run_id)
-    tid = ("p0", 0)
-    kept = [e for e in events
-            if not (e.trial_id == tid and (
-                e.kind == "TrialExited" or (
-                    e.kind == "IterationCommitted" and
-                    e.payload["record"]["index"] > 2)))]
-    states2 = rebuild_trial_states(manifest, kept)
-    actions = resume_points(manifest, states2)
-    assert actions[tid]["action"] == "verify"
-    assert actions[tid]["next_index"] == 3
-
-
 def test_rebuild_matches_live_states(tmp_path):
     store, run_id = run_mock_experiment(tmp_path, k=3, horizon=4)
     manifest, states = store.load_run(run_id)
@@ -374,3 +366,126 @@ def test_carry_forward_invariant():
         if cur.failure in ("backend_error", "truncated"):
             assert cur.answer == prev.answer
             assert cur.solution_text == prev.solution_text
+
+
+# --- event log and resume ----------------------------------------------------
+
+VERDEP_SPEC = dict(alpha=0.3, beta=0.8, initial_correct_probability=0.3)
+
+
+def committed_view(states):
+    return {tid: ([r.to_dict() for r in st.records], st.status)
+            for tid, st in states.items()}
+
+
+def cut_copy(store, run_id, dest, log_bytes, manifest=None):
+    """A copy of the run whose log holds log_bytes."""
+    shutil.copytree(run_dir(store.root, run_id), run_dir(dest, run_id))
+    if manifest is not None:
+        run_dir(dest, run_id).joinpath("manifest.json").write_text(json.dumps(manifest))
+    run_dir(dest, run_id).joinpath("events.log").write_bytes(log_bytes)
+    return RunStore(dest)
+
+
+def test_one_append_per_committed_iteration(tmp_path):
+    store, run_id = run_mock_experiment(tmp_path, k=2, horizon=3)
+    events = store.events(run_id)
+    assert [e.kind for e in events if e.trial_id == ("p0", 0)] == (
+        ["IterationCommitted"] * 4 + ["TrialExited"])
+    commit = next(e for e in events if e.kind == "IterationCommitted"
+                  and e.payload["record"]["index"] == 1)
+    assert set(commit.payload) == {"record", "calls"}
+    assert [(c["phase"], c["attempt"]) for c in commit.payload["calls"]] == [
+        ("verify", 0), ("refine", 0)]
+    assert all(c["thinking"].startswith(("checking", "working")) and
+               c["completion_tokens"] > 0 for c in commit.payload["calls"])
+
+
+def test_failed_call_kept_in_commit(tmp_path):
+    class FailingSolve:
+        def reasoning_call(self, request):
+            raise BackendUnavailable("down")
+
+    store = RunStore(tmp_path / "runs")
+    run_id = run_experiment([Problem("p0", "q", AnswerKey("60"))], 1,
+                            ControllerConfig(kind=DSER, max_iterations=0),
+                            FailingSolve(), PROMPTS, 1, store, parallelism=1)
+    commit = store.events(run_id)[0]
+    assert commit.payload["record"]["failure"] == "backend_error"
+    assert commit.payload["calls"] == [
+        {"phase": "solve", "attempt": 0, "failure": "backend_error", "error": "down"}]
+
+
+def test_verdep_resume_after_exit_record(tmp_path):
+    # a log that ends between a trial's exit record and its TrialExited must
+    # resume to the uninterrupted run, without calling past the exit
+    store, run_id = run_mock_experiment(tmp_path / "base", k=8, horizon=30, kind=VERDEP,
+                                        parallelism=1, store_sync="flush",
+                                        spec=make_spec(**VERDEP_SPEC))
+    want = committed_view(store.load_run(run_id)[1])
+    lines = run_dir(store.root, run_id).joinpath("events.log").read_bytes().splitlines(
+        keepends=True)
+    early = [i for i, line in enumerate(lines)
+             if json.loads(line)["kind"] == "TrialExited"
+             and json.loads(line)["payload"]["status"] != COMPLETED]
+    assert early
+    for i in early:
+        copy = cut_copy(store, run_id, tmp_path / f"cut{i}", b"".join(lines[:i]))
+        resume_experiment(copy, run_id, MockBackendProvider(make_spec(**VERDEP_SPEC)),
+                          store_sync="flush")
+        assert committed_view(copy.load_run(run_id)[1]) == want
+
+
+def v1_log(events):
+    """The schema-1 shape of a run's log: per call a CallSent and a
+    CallReceived, a SolveStarted per trial, streak extras on VERDEP commits."""
+    lines, streaks = [], {}
+    for ev in events:
+        if ev.kind == "TrialExited":
+            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev.trial_id),
+                          "kind": ev.kind, "payload": ev.payload})
+        if ev.kind != "IterationCommitted":
+            continue
+        record = ev.payload["record"]
+        passes, fails = streaks.get(ev.trial_id, (0, 0))
+        kinds = []
+        if record["index"] == 0:
+            kinds.append(("SolveStarted", {"seed": 1}))
+            phases = ["solve"]
+        else:
+            passes, fails = (passes + 1, 0) if record["verdict"] == 1 else (0, fails + 1)
+            phases = ["verify"] if record["verdict"] == 1 else ["verify", "refine"]
+        for phase in phases:
+            kinds.append(("CallSent", {"phase": phase, "seed": 2, "context": ["q"]}))
+            kinds.append(("CallReceived", {"phase": phase, "full_text": "t",
+                                           "summary_text": "t", "prompt_tokens": 1,
+                                           "completion_tokens": 1}))
+        payload = {"record": record}
+        if record["index"] > 0:
+            payload.update(pass_streak=passes, fail_streak=fails)
+            streaks[ev.trial_id] = (passes, fails)
+        kinds.append(("IterationCommitted", payload))
+        for kind, body in kinds:
+            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev.trial_id),
+                          "kind": kind, "payload": body})
+    return [(line["kind"], (json.dumps(line) + "\n").encode()) for line in lines]
+
+
+def test_v1_log_resumes_to_v2_run(tmp_path):
+    spec = make_spec(**VERDEP_SPEC)
+    store, run_id = run_mock_experiment(tmp_path / "v2", k=4, horizon=30, kind=VERDEP,
+                                        parallelism=1, store_sync="flush", spec=spec)
+    manifest, states = store.load_run(run_id)
+    lines = v1_log(store.events(run_id))
+    assert {kind for kind, _ in lines} == {"SolveStarted", "CallSent", "CallReceived",
+                                          "IterationCommitted", "TrialExited"}
+    # cut in the middle of a commit line halfway through the log
+    i = next(i for i, (kind, _) in enumerate(lines)
+             if kind == "IterationCommitted" and i > len(lines) // 2)
+    cut = b"".join(line for _, line in lines[:i]) + lines[i][1][:40]
+    v1 = cut_copy(store, run_id, tmp_path / "v1", cut, dict(manifest, schema_version=1))
+    loaded = v1.load_run(run_id)[1]
+    assert 0 < sum(len(st.records) for st in loaded.values()) < sum(
+        len(st.records) for st in states.values())
+    resume_experiment(v1, run_id, MockBackendProvider(spec), store_sync="flush")
+    assert committed_view(v1.load_run(run_id)[1]) == committed_view(states)
