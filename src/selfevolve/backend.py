@@ -7,10 +7,11 @@ The raw text is preserved on the response for persistence.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
@@ -199,21 +200,30 @@ class HttpBackend:
                     raise BackendUnavailable(
                         f"HTTP {resp.status_code}: {resp.text[:200]}"
                     )
-                payload = resp.json()
-                choice = payload["choices"][0]
-                full_text = choice["message"]["content"]
+                try:
+                    payload = resp.json()
+                    choice = payload["choices"][0]
+                    full_text = choice["message"]["content"]
+                    if not isinstance(full_text, str):
+                        raise TypeError(f"content is {full_text!r}")
+                    usage = payload.get("usage") or {}
+                    prompt_tokens = int(usage.get("prompt_tokens", 0))
+                    completion_tokens = int(usage.get("completion_tokens", 0))
+                except (ValueError, LookupError, TypeError, AttributeError) as e:
+                    # a 200 whose body is not a completion is retried like a 5xx
+                    last_error = BackendError(f"malformed response body: {e!r}")
+                    continue
                 if choice.get("finish_reason") == "length":
                     raise ResponseTruncated(
                         "completion hit the response token budget",
                         partial_text=full_text,
                     )
                 summary, malformed = strip_thinking(full_text)
-                usage = payload.get("usage", {})
                 return ReasoningResponse(
                     full_text=full_text,
                     summary_text=summary,
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
+                    prompt_tokens=prompt_tokens,
+                    completion_tokens=completion_tokens,
                     latency_s=time.monotonic() - started,
                     malformed_thinking=malformed,
                 )
@@ -325,8 +335,6 @@ class MockBackend:
     def __init__(self, spec: MockSpec):
         self.spec = spec
         self._lock = threading.Lock()
-        self._inflight = 0
-        self.max_observed_inflight = 0
         self.call_count = 0
 
     def _classify(self, request: ReasoningRequest) -> tuple[str, str]:
@@ -347,17 +355,11 @@ class MockBackend:
         if request.request_seed is None:
             raise ValueError("mock backend requires request_seed")
         with self._lock:
-            self._inflight += 1
             self.call_count += 1
-            self.max_observed_inflight = max(self.max_observed_inflight, self._inflight)
-        try:
-            kind, state = self._classify(request)
-            response, _ = mock_reasoning_call(self.spec, kind, state, request.request_seed)
-            response.prompt_tokens = sum(len(seg.split()) for seg in request.context)
-            return response
-        finally:
-            with self._lock:
-                self._inflight -= 1
+        kind, state = self._classify(request)
+        response, _ = mock_reasoning_call(self.spec, kind, state, request.request_seed)
+        response.prompt_tokens = sum(len(seg.split()) for seg in request.context)
+        return response
 
 
 class MockBackendProvider:
@@ -374,16 +376,7 @@ class MockBackendProvider:
         with self._lock:
             backend = self._backends.get(problem.problem_id)
             if backend is None:
-                backend = MockBackend(
-                    MockSpec(
-                        ground_truth=truth,
-                        initial_correct_probability=self.spec.initial_correct_probability,
-                        transition=self.spec.transition,
-                        alpha=self.spec.alpha,
-                        beta=self.spec.beta,
-                        wrong_answer_space=self.spec.wrong_answer_space,
-                    )
-                )
+                backend = MockBackend(dataclasses.replace(self.spec, ground_truth=truth))
                 self._backends[problem.problem_id] = backend
             return backend
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 WIDTH, HEIGHT = 640, 400
@@ -33,7 +35,7 @@ def render_line_chart(series: dict[str, list[tuple[float, float]]],
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>',
         # axes
         f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
         f'y2="{HEIGHT - MARGIN}" stroke="black"/>',
@@ -67,7 +69,7 @@ def render_line_chart(series: dict[str, list[tuple[float, float]]],
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{WIDTH - MARGIN - 90}" y="{ly + 4}" font-size="11">{name}</text>'
+            f'<text x="{WIDTH - MARGIN - 90}" y="{ly + 4}" font-size="11">{escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)

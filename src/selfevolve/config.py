@@ -25,6 +25,7 @@ import yaml
 from .answers import normalize_answer
 from .backend import BackendConfig, HttpBackend, MockBackendProvider, mock_spec_from_dict
 from .engine import ControllerConfig, Problem, PromptSet
+from .store import SYNC_MODES
 
 
 class ConfigInvalid(ValueError):
@@ -89,6 +90,8 @@ class RunConfig:
                 errors.append(f"experiment.problems: file not found: {problems_path}")
         if int(exp.get("k_trials", 1)) < 1:
             errors.append("experiment.k_trials: must be >= 1")
+        if exp.get("store_sync", "always") not in SYNC_MODES:
+            errors.append(f"experiment.store_sync: must be one of {list(SYNC_MODES)}")
         if has_backend and not (raw["backend"] or {}).get("endpoint"):
             errors.append("backend.endpoint: required")
 
@@ -100,7 +103,7 @@ class RunConfig:
         self.k_trials = int(exp.get("k_trials", 1))
         self.run_seed = int(exp.get("run_seed", 0))
         self.parallelism = int(exp.get("parallelism", 8))
-        self.store_sync = str(exp.get("store_sync", "always"))
+        self.store_sync = exp.get("store_sync", "always")
         self.problems_path = base_dir / str(exp["problems"])
         self.output_dir = base_dir / str(raw.get("output_dir", "out"))
 

@@ -1,6 +1,6 @@
-"""Trial controllers: the fixed-horizon solve/verify/refine loop and the
-verification-dependent accept/reject variant, plus the parallel experiment
-driver.
+"""The trial loop, shared by the fixed-horizon controller (DSER) and the
+verification-dependent accept/reject one (VERDEP), plus the parallel
+experiment driver.
 
 Every reasoning call context is exactly (q, s, p_v, v, p_r) or a prefix of
 it; earlier solutions never re-enter the context, so the process is Markov in
@@ -17,6 +17,7 @@ import time
 import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import inf
 
 from .answers import AnswerKey, extract_answer, normalize_answer
 from .backend import BackendError, ReasoningRequest, ResponseTruncated, thinking_text
@@ -131,9 +132,6 @@ class TrialState:
     @property
     def trial_id(self) -> tuple[str, int]:
         return (self.problem_id, self.trial_index)
-
-    def answer_at(self, n: int) -> str | None:
-        return self.records[n].answer
 
 
 def _noop_emit(kind: str, payload: dict) -> None:
@@ -285,57 +283,7 @@ def _commit(emit, record: IterationRecord) -> None:
     emit("IterationCommitted", {"record": record.to_dict()})
 
 
-def _after_verify(backend, question: str, prompts: PromptSet, seed: int,
-                  prior: IterationRecord, verification, config: ControllerConfig,
-                  emit) -> IterationRecord:
-    """The record that follows a verification the controller acts on: the
-    prior state carried forward when the verify call failed, else a refine."""
-    v_text, verdict, v_failure, v_usage = verification
-    n = prior.index + 1
-    if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND):
-        return IterationRecord(index=n, solution_text=prior.solution_text,
-                               answer=prior.answer, failure=v_failure)
-    record = refine(backend, question, prior.solution_text or "(no solution)",
-                    v_text or "", prompts, derive_seed(seed, n, "refine"),
-                    prior, config, emit)
-    record.verification_text = v_text
-    record.verdict = verdict
-    record.prompt_tokens += v_usage[0]
-    record.completion_tokens += v_usage[1]
-    return record
-
-
-def run_dser_trial(config: ControllerConfig, backend, question: str,
-                   prompts: PromptSet, seed: int, emit=_noop_emit,
-                   state: TrialState | None = None,
-                   problem_id: str = "p0", trial_index: int = 0) -> TrialState:
-    """Fixed-horizon trial: exactly max_iterations verify+refine cycles after
-    the initial solve, each committed before the next call begins."""
-    if config.kind != DSER:
-        raise ValueError("run_dser_trial requires a DSER controller config")
-    if state is None:
-        state = TrialState(problem_id, trial_index, DSER, seed)
-    if not state.records:
-        record = solve(backend, question, prompts,
-                       derive_seed(seed, 0, "solve"), config, emit)
-        state.records.append(record)
-        _commit(emit, record)
-    while len(state.records) <= config.max_iterations:
-        n = len(state.records)
-        prior = state.records[-1]
-        verification = verify(
-            backend, question, prior.solution_text or "(no solution)",
-            prompts, derive_seed(seed, n, "verify"), config, emit)
-        record = _after_verify(backend, question, prompts, seed, prior, verification,
-                               config, emit)
-        state.records.append(record)
-        _commit(emit, record)
-    state.status = COMPLETED
-    emit("TrialExited", {"status": state.status})
-    return state
-
-
-def _verdep_streaks(records: list[IterationRecord]) -> tuple[int, int]:
+def _streaks(records: list[IterationRecord]) -> tuple[int, int]:
     """Reconstruct (pass, fail) streak counters from committed records."""
     passes = fails = 0
     for r in records[1:]:
@@ -346,61 +294,53 @@ def _verdep_streaks(records: list[IterationRecord]) -> tuple[int, int]:
     return passes, fails
 
 
-def run_verdep_trial(config: ControllerConfig, backend, question: str,
-                     prompts: PromptSet, seed: int, emit=_noop_emit,
-                     state: TrialState | None = None,
-                     problem_id: str = "p0", trial_index: int = 0) -> TrialState:
-    """Verification-dependent trial.
+def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptSet,
+              seed: int, emit=_noop_emit, state: TrialState | None = None,
+              problem_id: str = "p0", trial_index: int = 0) -> TrialState:
+    """One trial: the initial solve, then verify steps, each committed before
+    the next call begins, until max_iterations of them are done.
 
-    A pass keeps the solution unchanged and extends the pass streak; a fail
-    resets it, extends the fail streak, and triggers a refine. Unparseable
-    verdicts count as fails. Exits on accept_limit consecutive passes,
-    reject_limit consecutive fails, or the iteration budget.
+    DSER refines after every verdict. VERDEP keeps a passed solution unchanged
+    and refines after a fail (an unparseable verdict counts as a fail); it
+    also exits on accept_limit consecutive passes or reject_limit consecutive
+    fails. A failed verify call carries the prior state forward.
     """
-    if config.kind != VERDEP:
-        raise ValueError("run_verdep_trial requires a verdep controller config")
     if state is None:
-        state = TrialState(problem_id, trial_index, VERDEP, seed)
+        state = TrialState(problem_id, trial_index, config.kind, seed)
     if not state.records:
         record = solve(backend, question, prompts,
                        derive_seed(seed, 0, "solve"), config, emit)
         state.records.append(record)
         _commit(emit, record)
+    verdep = config.kind == VERDEP
+    accept, reject = (config.accept_limit, config.reject_limit) if verdep else (inf, inf)
     # The streaks rebuilt from the records are tested before the first call,
     # so a trial resumed after its exit record exits without another call.
-    passes, fails = _verdep_streaks(state.records)
-    while (passes < config.accept_limit and fails < config.reject_limit
-           and len(state.records) <= config.max_iterations):
+    passes, fails = _streaks(state.records)
+    while passes < accept and fails < reject and len(state.records) <= config.max_iterations:
         n = len(state.records)
         prior = state.records[-1]
-        verification = verify(
+        v_text, verdict, v_failure, v_usage = verify(
             backend, question, prior.solution_text or "(no solution)",
             prompts, derive_seed(seed, n, "verify"), config, emit)
-        v_text, verdict, _, v_usage = verification
-        if verdict == 1:
-            passes, fails = passes + 1, 0
-            record = IterationRecord(
-                index=n, solution_text=prior.solution_text, answer=prior.answer,
-                verification_text=v_text, verdict=verdict,
-                prompt_tokens=v_usage[0], completion_tokens=v_usage[1])
+        passes, fails = (passes + 1, 0) if verdict == 1 else (0, fails + 1)
+        if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND) or (verdep and verdict == 1):
+            record = IterationRecord(index=n, solution_text=prior.solution_text,
+                                     answer=prior.answer, failure=v_failure)
         else:
-            passes, fails = 0, fails + 1
-            record = _after_verify(backend, question, prompts, seed, prior, verification,
-                                   config, emit)
+            record = refine(backend, question, prior.solution_text or "(no solution)",
+                            v_text or "", prompts, derive_seed(seed, n, "refine"),
+                            prior, config, emit)
+        record.verification_text = v_text
+        record.verdict = verdict
+        record.prompt_tokens += v_usage[0]
+        record.completion_tokens += v_usage[1]
         state.records.append(record)
         _commit(emit, record)
-    state.status = (ACCEPTED_EXIT if passes >= config.accept_limit else
-                    REJECTED_EXIT if fails >= config.reject_limit else COMPLETED)
+    state.status = (ACCEPTED_EXIT if passes >= accept else
+                    REJECTED_EXIT if fails >= reject else COMPLETED)
     emit("TrialExited", {"status": state.status})
     return state
-
-
-def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptSet,
-              seed: int, emit=_noop_emit, state: TrialState | None = None,
-              problem_id: str = "p0", trial_index: int = 0) -> TrialState:
-    runner = run_dser_trial if config.kind == DSER else run_verdep_trial
-    return runner(config, backend, question, prompts, seed, emit, state,
-                  problem_id, trial_index)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +377,10 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
 
 
 def build_manifest(run_id: str, run_seed: int, problems: list[Problem],
-                   k_trials: int, config_snapshot: dict, config_hash: str) -> dict:
+                   k_trials: int, config_snapshot: dict, config_hash: str,
+                   parallelism: int, store_sync: str) -> dict:
+    """The run's manifest; parallelism and store_sync sit outside the config
+    snapshot, so they do not enter its hash."""
     return {
         "run_id": run_id,
         "created_at": time.time(),
@@ -445,6 +388,8 @@ def build_manifest(run_id: str, run_seed: int, problems: list[Problem],
         "k_trials": k_trials,
         "config": config_snapshot,
         "config_hash": config_hash,
+        "parallelism": parallelism,
+        "store_sync": store_sync,
         "problems": [
             {"id": p.problem_id, "statement": p.statement,
              "answer": p.answer.canonical if p.answer else None}
@@ -480,7 +425,7 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
     if config_snapshot is None:
         config_snapshot = {"controller": dataclasses.asdict(config)}
     manifest = build_manifest(run_id, run_seed, problems, k_trials,
-                              config_snapshot, config_hash)
+                              config_snapshot, config_hash, parallelism, store_sync)
     store.create_run(run_id, manifest)
     log = store.open_log(run_id, sync=store_sync)
     try:
@@ -492,13 +437,19 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
 
 
 def resume_experiment(store: RunStore, run_id: str, backend,
-                      parallelism: int = 8, store_sync: str = "always") -> None:
+                      parallelism: int | None = None, store_sync: str | None = None) -> None:
     """Complete the remaining trials of a half-finished run.
 
-    The log is read once, by the append handle; the trial states are rebuilt
-    from the events it parsed.
+    parallelism and store_sync default to the run's own, as its manifest
+    records them (8 and "always" for a manifest that predates them). The log
+    is read once, by the append handle; the trial states are rebuilt from the
+    events it parsed.
     """
     manifest = store.manifest(run_id)
+    if parallelism is None:
+        parallelism = manifest.get("parallelism", 8)
+    if store_sync is None:
+        store_sync = manifest.get("store_sync", "always")
     config = ControllerConfig(**manifest["config"]["controller"])
     prompts = PromptSet(**manifest["config"].get("prompts", {}))
     log = store.open_log(run_id, sync=store_sync)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 SCHEMA_VERSION = 2
 
-COMMIT_KINDS = {"IterationCommitted", "TrialExited", "RunFinalized"}
+SYNC_MODES = ("always", "flush")
 
 
 class StoreUnavailable(Exception):
@@ -56,14 +56,13 @@ def run_dir(root: str | Path, run_id: str) -> Path:
 class RunLog:
     """Single-writer append handle for one run's event log.
 
-    sync="always" fsyncs every append; "commit" fsyncs only on commit-authority
-    kinds (iteration/trial/run boundaries); "flush" never fsyncs. All modes
-    keep strict prefix semantics under truncation. The events parsed when an
-    existing log is opened stay in `events`, so a resume reads the log once.
+    sync="always" fsyncs every append; "flush" never fsyncs. Both keep strict
+    prefix semantics under truncation. The events parsed when an existing log
+    is opened stay in `events`, so a resume reads the log once.
     """
 
     def __init__(self, path: Path, sync: str = "always"):
-        if sync not in ("always", "commit", "flush"):
+        if sync not in SYNC_MODES:
             raise ValueError(f"unknown sync mode {sync!r}")
         self._path = path
         self._sync = sync
@@ -72,17 +71,14 @@ class RunLog:
         self.finalized = False
         self.events: list[Event] = []
         if path.exists():
-            events, discarded_tail = _read_events(path)
+            events, valid = _read_events(path)
             self.events = events
             if events:
                 self._next_seq = events[-1].seq + 1
                 self.finalized = any(e.kind == "RunFinalized" for e in events)
-            if discarded_tail:
+            if valid < path.stat().st_size:
                 # drop the interrupted final write so new appends start on a
                 # fresh line instead of extending the partial one
-                raw = path.read_bytes()
-                valid = sum(len(line) + 1
-                            for line in raw.split(b"\n")[:len(events)])
                 with open(path, "r+b") as fh:
                     fh.truncate(valid)
                     fh.flush()
@@ -108,9 +104,7 @@ class RunLog:
             try:
                 self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
                 self._fh.flush()
-                if self._sync == "always" or (
-                    self._sync == "commit" and kind in COMMIT_KINDS
-                ):
+                if self._sync == "always":
                     os.fsync(self._fh.fileno())
             except OSError as e:
                 raise StoreUnavailable(str(e)) from e
@@ -123,16 +117,12 @@ class RunLog:
         self._fh.close()
 
 
-def _read_events(path: Path) -> tuple[list[Event], bool]:
-    """Parse the log; returns (events, truncated_tail_discarded)."""
+def _read_events(path: Path) -> tuple[list[Event], int]:
+    """Parse the log; returns (events, byte length of the valid prefix)."""
     events: list[Event] = []
     raw = path.read_bytes()
-    if not raw:
-        return events, False
     lines = raw.split(b"\n")
-    trailing_partial = lines[-1] != b""
-    body = lines[:-1]
-    tail = lines[-1] if trailing_partial else None
+    body, tail = lines[:-1], lines[-1]  # tail is b"" unless the last write was cut
     for i, line in enumerate(body):
         try:
             d = json.loads(line)
@@ -144,9 +134,9 @@ def _read_events(path: Path) -> tuple[list[Event], bool]:
                 ts=d["ts"],
             )
         except (json.JSONDecodeError, KeyError, TypeError) as e:
-            if i == len(body) - 1 and tail is None:
+            if i == len(body) - 1 and not tail:
                 # interrupted final write without newline elsewhere; discard
-                return events, True
+                return events, len(raw) - len(line) - 1
             raise CorruptLog(f"unparseable event at line {i + 1}: {e}", len(events)) from e
         expected = events[-1].seq + 1 if events else ev.seq
         if ev.seq != expected:
@@ -154,7 +144,7 @@ def _read_events(path: Path) -> tuple[list[Event], bool]:
                 f"sequence gap: expected {expected}, found {ev.seq}", len(events)
             )
         events.append(ev)
-    return events, trailing_partial
+    return events, len(raw) - len(tail)
 
 
 class RunStore:

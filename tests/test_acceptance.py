@@ -32,9 +32,8 @@ from selfevolve.engine import (
     Problem,
     PromptSet,
     resume_experiment,
-    run_dser_trial,
     run_experiment,
-    run_verdep_trial,
+    run_trial,
     trial_seed,
 )
 from selfevolve.markov import (
@@ -168,10 +167,9 @@ def make_spec(p_ic, p_ci, *, alpha=0.1, beta=0.9, initial=0.0, space=100):
 def run_mock_trials(spec, config, k, run_seed, question="compute the value"):
     trials = []
     for t in range(k):
-        runner = run_dser_trial if config.kind == DSER else run_verdep_trial
-        trials.append(runner(config, MockBackend(spec), question, PROMPTS,
-                             seed=trial_seed(run_seed, "p0", t),
-                             problem_id="p0", trial_index=t))
+        trials.append(run_trial(config, MockBackend(spec), question, PROMPTS,
+                                seed=trial_seed(run_seed, "p0", t),
+                                problem_id="p0", trial_index=t))
     return trials
 
 
@@ -285,7 +283,7 @@ def test_http_refinement_context_order(capsys):
         backend = HttpBackend(BackendConfig(endpoint=server.endpoint,
                                             model="stub", timeout_s=10.0))
         config = ControllerConfig(kind=DSER, max_iterations=1)
-        state = run_dser_trial(config, backend, question, PROMPTS, seed=3)
+        state = run_trial(config, backend, question, PROMPTS, seed=3)
     s = "I get \\boxed{62}"
     v = "The sum is off. \\boxed{0}"
     sent = [r["messages"][0]["content"] for r in server.requests]

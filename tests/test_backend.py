@@ -231,6 +231,33 @@ def test_http_retries_exhausted():
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
 
 
+MALFORMED_BODIES = [
+    {"choices": []},
+    {"choices": [{}]},
+    {"choices": [{"message": {"role": "assistant", "content": None}}]},
+    {},
+    200,  # the stub answers a scripted int status with a non-JSON body
+]
+
+
+def test_http_malformed_body_exhausts_retries():
+    script = [body for body in MALFORMED_BODIES for _ in range(3)]
+    with StubChatServer(script) as server:
+        backend = HttpBackend(_http_config(server.endpoint))
+        for _ in MALFORMED_BODIES:
+            with pytest.raises(BackendUnavailable):
+                backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert len(server.requests) == len(script)
+
+
+def test_http_malformed_body_retried():
+    with StubChatServer([200, completion("ok \\boxed{1}")]) as server:
+        backend = HttpBackend(_http_config(server.endpoint))
+        response = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert "\\boxed{1}" in response.summary_text
+    assert len(server.requests) == 2
+
+
 def test_http_no_request_mutation():
     # the engine-visible rendered context equals byte-for-byte what was sent
     segments = ("question text", "solution \\boxed{3}", "verify prompt")
@@ -255,7 +282,6 @@ def test_inflight_cap_respected():
     for t in threads:
         t.join()
     assert backend.call_count == 32
-    assert backend.max_observed_inflight >= 1
 
 
 def test_http_inflight_cap():

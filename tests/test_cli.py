@@ -3,9 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from selfevolve import engine
 from selfevolve.cli import main
 from selfevolve.config import ConfigInvalid, RunConfig, config_hash, load_problems
-from selfevolve.store import run_dir
+from selfevolve.store import RunStore, run_dir
 
 
 BASE_CONFIG = """\
@@ -114,6 +115,11 @@ def test_load_problems_jsonl_and_duplicates(tmp_path):
 
 # --- run / resume / analyze --------------------------------------------------
 
+def committed_view(states):
+    return {tid: ([r.to_dict() for r in st.records], st.status)
+            for tid, st in states.items()}
+
+
 def run_cli_experiment(workspace):
     result = invoke("run", workspace / "config.yaml")
     assert result.exit_code == 0, result.output
@@ -133,6 +139,48 @@ def test_cli_run_invalid_config_exit_code(workspace):
     (workspace / "bad.yaml").write_text(BASE_CONFIG + "backend:\n  endpoint: e\n")
     result = invoke("run", workspace / "bad.yaml")
     assert result.exit_code == 2
+
+
+def test_cli_run_rejects_unknown_store_sync(workspace):
+    text = BASE_CONFIG.replace("  parallelism: 2", "  parallelism: 2\n  store_sync: bogus")
+    (workspace / "bad.yaml").write_text(text)
+    result = invoke("run", workspace / "bad.yaml")
+    assert result.exit_code == 2
+    assert "store_sync" in result.output
+    assert not (workspace / "out").exists()
+
+
+def test_cli_resume_uses_run_settings(workspace, monkeypatch):
+    text = BASE_CONFIG.replace("  parallelism: 2", "  parallelism: 1\n  store_sync: flush")
+    (workspace / "flush.yaml").write_text(text)
+    result = invoke("run", workspace / "flush.yaml")
+    assert result.exit_code == 0, result.output
+    run_id = result.output.strip().splitlines()[-1]
+    runs = workspace / "out" / "runs"
+    manifest = json.loads(run_dir(runs, run_id).joinpath("manifest.json").read_text())
+    assert (manifest["parallelism"], manifest["store_sync"]) == (1, "flush")
+    want = committed_view(RunStore(runs).load_run(run_id)[1])
+    log = run_dir(runs, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+
+    seen = {}
+    open_log, execute = RunStore.open_log, engine._execute_trials
+
+    def spy_open_log(self, run_id, sync="always"):
+        seen["sync"] = sync
+        return open_log(self, run_id, sync=sync)
+
+    def spy_execute(*args):
+        seen["parallelism"] = args[-1]
+        return execute(*args)
+
+    monkeypatch.setattr(RunStore, "open_log", spy_open_log)
+    monkeypatch.setattr(engine, "_execute_trials", spy_execute)
+    result = invoke("resume", run_id, "--runs-dir", runs, "--config", workspace / "flush.yaml")
+    assert result.exit_code == 0, result.output
+    assert seen == {"sync": "flush", "parallelism": 1}
+    assert committed_view(RunStore(runs).load_run(run_id)[1]) == want
 
 
 def test_cli_resume_noop_on_finished_run(workspace):

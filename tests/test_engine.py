@@ -26,9 +26,8 @@ from selfevolve.engine import (
     rebuild_trial_states,
     refine,
     resume_experiment,
-    run_dser_trial,
     run_experiment,
-    run_verdep_trial,
+    run_trial,
     solve,
     trial_seed,
     verify,
@@ -174,7 +173,7 @@ def test_refine_fixture_answer():
 def test_dser_degenerate_horizon():
     backend = MockBackend(make_spec(initial_correct_probability=1.0))
     config = ControllerConfig(kind=DSER, max_iterations=0)
-    state = run_dser_trial(config, backend, "q", PROMPTS, seed=1)
+    state = run_trial(config, backend, "q", PROMPTS, seed=1)
     assert state.status == COMPLETED
     assert len(state.records) == 1
 
@@ -182,7 +181,7 @@ def test_dser_degenerate_horizon():
 def test_dser_horizon_exactness():
     backend = MockBackend(make_spec())
     config = ControllerConfig(kind=DSER, max_iterations=7)
-    state = run_dser_trial(config, backend, "q", PROMPTS, seed=3)
+    state = run_trial(config, backend, "q", PROMPTS, seed=3)
     assert state.status == COMPLETED
     assert len(state.records) == 8
     assert [r.index for r in state.records] == list(range(8))
@@ -192,7 +191,7 @@ def test_dser_markov_context_property():
     # every call context is (q, s, p_v) or (q, s, p_v, v, p_r): no history
     backend = RecordingBackend(MockBackend(make_spec()))
     config = ControllerConfig(kind=DSER, max_iterations=5)
-    state = run_dser_trial(config, backend, "the question", PROMPTS, seed=9)
+    state = run_trial(config, backend, "the question", PROMPTS, seed=9)
     solutions = [r.solution_text for r in state.records]
     contexts = backend.contexts
     assert len(contexts) == 1 + 2 * config.max_iterations
@@ -218,8 +217,8 @@ def test_dser_markov_context_property():
 def test_dser_deterministic_across_runs():
     config = ControllerConfig(kind=DSER, max_iterations=10)
     spec = make_spec()
-    a = run_dser_trial(config, MockBackend(spec), "q", PROMPTS, seed=5)
-    b = run_dser_trial(config, MockBackend(spec), "q", PROMPTS, seed=5)
+    a = run_trial(config, MockBackend(spec), "q", PROMPTS, seed=5)
+    b = run_trial(config, MockBackend(spec), "q", PROMPTS, seed=5)
     assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
 
 
@@ -230,8 +229,8 @@ def test_dser_stationary_frequency():
     hits = 0
     k = 64
     for t in range(k):
-        state = run_dser_trial(config, MockBackend(spec), "q", PROMPTS,
-                               seed=trial_seed(1234, "p0", t))
+        state = run_trial(config, MockBackend(spec), "q", PROMPTS,
+                          seed=trial_seed(1234, "p0", t))
         hits += int(state.records[-1].answer == "60")
     assert hits / k == pytest.approx(0.75, abs=0.16)
 
@@ -241,7 +240,7 @@ def test_dser_stationary_frequency():
 def test_verdep_forced_accept():
     backend = MockBackend(make_spec(beta=1.0, initial_correct_probability=1.0))
     config = ControllerConfig(kind=VERDEP, max_iterations=50)
-    state = run_verdep_trial(config, backend, "q", PROMPTS, seed=2)
+    state = run_trial(config, backend, "q", PROMPTS, seed=2)
     assert state.status == ACCEPTED_EXIT
     assert len(state.records) == 6  # solve + 5 passing verifications
     assert all(r.verdict == 1 for r in state.records[1:])
@@ -253,7 +252,7 @@ def test_verdep_forced_reject():
     backend = MockBackend(make_spec(alpha=0.0, initial_correct_probability=0.0,
                                     transition=TransitionParams(0.0, 0.0)))
     config = ControllerConfig(kind=VERDEP, max_iterations=50)
-    state = run_verdep_trial(config, backend, "q", PROMPTS, seed=2)
+    state = run_trial(config, backend, "q", PROMPTS, seed=2)
     assert state.status == REJECTED_EXIT
     assert len(state.records) == 11  # solve + 10 failing verifications
 
@@ -261,7 +260,7 @@ def test_verdep_forced_reject():
 def test_verdep_budget_completion():
     backend = MockBackend(make_spec(alpha=0.5, beta=0.5))
     config = ControllerConfig(kind=VERDEP, max_iterations=3)
-    state = run_verdep_trial(config, backend, "q", PROMPTS, seed=4)
+    state = run_trial(config, backend, "q", PROMPTS, seed=4)
     assert state.status in (COMPLETED, ACCEPTED_EXIT, REJECTED_EXIT)
     assert len(state.records) <= 4
 
@@ -269,7 +268,7 @@ def test_verdep_budget_completion():
 def test_verdep_pass_keeps_solution():
     backend = MockBackend(make_spec(beta=1.0, initial_correct_probability=1.0))
     config = ControllerConfig(kind=VERDEP, max_iterations=50)
-    state = run_verdep_trial(config, backend, "q", PROMPTS, seed=6)
+    state = run_trial(config, backend, "q", PROMPTS, seed=6)
     texts = {r.solution_text for r in state.records}
     assert len(texts) == 1  # never refined
 
@@ -278,7 +277,7 @@ def test_verdep_streak_bookkeeping():
     backend = MockBackend(make_spec(alpha=0.5, beta=0.5))
     config = ControllerConfig(kind=VERDEP, max_iterations=200)
     for seed in range(20):
-        state = run_verdep_trial(config, backend, "q", PROMPTS, seed=seed)
+        state = run_trial(config, backend, "q", PROMPTS, seed=seed)
         verdicts = [1 if r.verdict == 1 else 0 for r in state.records[1:]]
         passes = fails = 0
         for i, v in enumerate(verdicts):
@@ -291,6 +290,31 @@ def test_verdep_streak_bookkeeping():
                 assert last and state.status == ACCEPTED_EXIT
             if fails >= config.reject_limit:
                 assert last and state.status == REJECTED_EXIT
+
+
+@pytest.mark.parametrize("config, spec, prefix, n_records, status, calls", [
+    # the accept streak completes on the last budgeted iteration
+    (ControllerConfig(kind=VERDEP, max_iterations=5, accept_limit=5),
+     dict(beta=1.0, initial_correct_probability=1.0), 0, 6, ACCEPTED_EXIT, 6),
+    # streak limits never end a DSER trial
+    (ControllerConfig(kind=DSER, max_iterations=6, accept_limit=1, reject_limit=1),
+     {}, 0, 7, COMPLETED, 13),
+    # a resumed trial already at its reject limit exits without a call
+    (ControllerConfig(kind=VERDEP, max_iterations=10, reject_limit=2),
+     {}, 3, 3, REJECTED_EXIT, 0),
+], ids=["verdep_accept_on_last_iteration", "dser_ignores_limits",
+        "verdep_resumed_at_reject_limit"])
+def test_trial_loop_edges(config, spec, prefix, n_records, status, calls):
+    backend = MockBackend(make_spec(**spec))
+    state = None
+    if prefix:
+        records = [IterationRecord(index=i, solution_text="\\boxed{7}", answer="7",
+                                   verdict=0 if i else None) for i in range(prefix)]
+        state = TrialState("p0", 0, config.kind, 1, records=records)
+    state = run_trial(config, backend, "q", PROMPTS, seed=1, state=state)
+    assert len(state.records) == n_records
+    assert state.status == status
+    assert backend.call_count == calls
 
 
 # --- experiment driver -------------------------------------------------------
@@ -340,8 +364,8 @@ def test_rebuild_matches_live_states(tmp_path):
     spec = make_spec()
     config = ControllerConfig(kind=DSER, max_iterations=4)
     for (pid, t), st in states.items():
-        fresh = run_dser_trial(config, MockBackend(spec), "what is the answer?",
-                               PROMPTS, seed=trial_seed(7, pid, t))
+        fresh = run_trial(config, MockBackend(spec), "what is the answer?",
+                          PROMPTS, seed=trial_seed(7, pid, t))
         assert [r.to_dict() for r in fresh.records] == [r.to_dict() for r in st.records]
 
 
@@ -360,7 +384,7 @@ def test_carry_forward_invariant():
 
     backend = FlakyBackend(MockBackend(make_spec()))
     config = ControllerConfig(kind=DSER, max_iterations=20)
-    state = run_dser_trial(config, backend, "q", PROMPTS, seed=11)
+    state = run_trial(config, backend, "q", PROMPTS, seed=11)
     assert len(state.records) == 21
     for prev, cur in zip(state.records, state.records[1:]):
         if cur.failure in ("backend_error", "truncated"):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,28 @@ def test_append_after_partial_tail_starts_fresh_line(tmp_path):
     assert [e.kind for e in store.events("r1")] == ["A", "B", "C"]
 
 
+@pytest.mark.parametrize("tail", [b'{"seq":3,"ts":1,"tr', b'{"seq":3,"ts":1,"tr\n'])
+def test_open_cut_log_reads_once(tmp_path, monkeypatch, tail):
+    # the valid prefix is sized from the one read that parses the log
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    log.append("A", {})
+    log.append("B", {})
+    log.close()
+    path = run_dir(store.root, "r1") / "events.log"
+    valid = path.read_bytes()
+    path.write_bytes(valid + tail)
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    log = store.open_log("r1")
+    assert reads == [path]
+    assert path.read_bytes() == valid
+    assert log.append("C", {}) == 3
+    log.close()
+    assert [e.kind for e in store.events("r1")] == ["A", "B", "C"]
+
+
 def test_manifest_round_trip(tmp_path):
     store = make_store(tmp_path)
     manifest = store.manifest("r1")
@@ -179,12 +202,13 @@ def test_load_run_fresh(tmp_path):
 
 def test_sync_modes(tmp_path):
     store = make_store(tmp_path)
-    for mode in ("always", "commit", "flush"):
+    for mode in ("always", "flush"):
         log = store.open_log("r1", sync=mode)
         log.append("IterationCommitted", {"record": {
             "index": 0, "solution_text": "", "answer": None,
             "verification_text": None, "verdict": None, "failure": None,
             "prompt_tokens": 0, "completion_tokens": 0}})
         log.close()
-    with pytest.raises(ValueError):
-        store.open_log("r1", sync="bogus")
+    for mode in ("commit", "bogus"):
+        with pytest.raises(ValueError):
+            store.open_log("r1", sync=mode)
