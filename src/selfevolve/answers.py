@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 # Presentation-only LaTeX wrappers whose single brace argument is the payload.
 _WRAPPER_RE = re.compile(
@@ -16,6 +17,7 @@ _WRAPPER_RE = re.compile(
 )
 _COLOR_RE = re.compile(r"^\\(?:textcolor|color)\s*\{[^{}]*\}\s*\{(.*)\}$", re.DOTALL)
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_BOXED_OPEN_RE = re.compile(r"\\boxed\s*\{")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,12 @@ def normalize_answer(raw: str) -> AnswerKey:
     return AnswerKey(s)
 
 
+@lru_cache(maxsize=256)
 def extract_answer(summary_text: str) -> AnswerKey | None:
-    """Contents of the last balanced \\boxed{...}, normalized; None if absent."""
+    """Contents of the last balanced \\boxed{...}, normalized; None if absent.
+
+    Memoized on the text, which the mock re-parses after the engine; the
+    results are frozen, so callers can share them."""
     content = extract_boxed(summary_text)
     if content is None:
         return None
@@ -74,7 +80,10 @@ def extract_boxed(text: str) -> str | None:
     """Raw contents of the last \\boxed{...} occurrence with balanced braces."""
     if not text:
         return None
-    for m in reversed(list(re.finditer(r"\\boxed\s*\{", text))):
+    pos = len(text)
+    while (pos := text.rfind("\\boxed", 0, pos)) != -1:
+        if (m := _BOXED_OPEN_RE.match(text, pos)) is None:
+            continue
         depth = 1
         start = m.end()
         for i in range(start, len(text)):

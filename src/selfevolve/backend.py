@@ -121,6 +121,10 @@ class BackendConfig:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be > 0")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        if self.rps is not None and self.rps <= 0:
+            raise ValueError("rps must be > 0")
         if self.max_response_tokens < 1:
             raise ValueError("max_response_tokens must be >= 1")
         if self.temperature < 0:
@@ -313,7 +317,7 @@ def mock_reasoning_call(
     else:
         raise ValueError(f"unknown request kind {request_kind!r}")
     summary, malformed = strip_thinking(full)
-    words = sum(len(seg.split()) for seg in (full,))
+    words = len(full.split())
     response = ReasoningResponse(
         full_text=full,
         summary_text=summary,

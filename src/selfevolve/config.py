@@ -52,8 +52,24 @@ def config_hash(snapshot: dict) -> str:
     ).hexdigest()
 
 
+def _checked(errors: list[str], name: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), recording a value error it raises under name
+    in errors; None in that case."""
+    try:
+        return build(*args, **kwargs)
+    except KeyError as e:
+        errors.append(f"{name}.{e.args[0]}: required")
+    except (TypeError, ValueError) as e:
+        errors.append(f"{name}: {e}")
+    return None
+
+
 class RunConfig:
-    """Validated run configuration plus factories for its pieces."""
+    """Validated run configuration plus factories for its pieces.
+
+    Every error, including a value a dataclass rejects, is collected and
+    raised as one ConfigInvalid before anything is written.
+    """
 
     def __init__(self, raw: dict, base_dir: Path):
         self.raw = raw
@@ -67,42 +83,58 @@ class RunConfig:
         if has_backend == has_mock:
             errors.append("exactly one of 'backend' or 'mock' sections must be present")
 
+        # sections that are mappings with known keys only; an absent one is empty
+        bodies: dict[str, dict] = {}
         for section, allowed in (("backend", _BACKEND_KEYS), ("mock", _MOCK_KEYS),
                                  ("controller", _CONTROLLER_KEYS),
                                  ("prompts", _PROMPT_KEYS),
                                  ("experiment", _EXPERIMENT_KEYS)):
             body = raw.get(section)
             if body is None:
-                continue
+                body = {}
             if not isinstance(body, dict):
                 errors.append(f"{section}: must be a mapping")
                 continue
             unknown = set(body) - allowed
             if unknown:
                 errors.append(f"{section}: unknown keys {sorted(unknown)}")
+                continue
+            bodies[section] = body
 
-        exp = raw.get("experiment") or {}
+        exp = bodies.get("experiment", {})
         if "problems" not in exp:
             errors.append("experiment.problems: required")
         else:
             problems_path = base_dir / str(exp["problems"])
             if not problems_path.exists():
                 errors.append(f"experiment.problems: file not found: {problems_path}")
-        if int(exp.get("k_trials", 1)) < 1:
+        self.k_trials = _checked(errors, "experiment.k_trials", int, exp.get("k_trials", 1))
+        if self.k_trials is not None and self.k_trials < 1:
             errors.append("experiment.k_trials: must be >= 1")
+        self.parallelism = _checked(errors, "experiment.parallelism", int,
+                                    exp.get("parallelism", 8))
+        if self.parallelism is not None and self.parallelism < 1:
+            errors.append("experiment.parallelism: must be >= 1")
+        self.run_seed = _checked(errors, "experiment.run_seed", int, exp.get("run_seed", 0))
         if exp.get("store_sync", "always") not in SYNC_MODES:
             errors.append(f"experiment.store_sync: must be one of {list(SYNC_MODES)}")
-        if has_backend and not (raw["backend"] or {}).get("endpoint"):
-            errors.append("backend.endpoint: required")
+
+        # the dataclasses own their value rules; building them here turns a
+        # rejected value into a collected error
+        self.controller = _checked(errors, "controller", ControllerConfig,
+                                   **bodies.get("controller", {}))
+        if has_mock and "mock" in bodies:
+            _checked(errors, "mock", mock_spec_from_dict, bodies["mock"])
+        if has_backend and "backend" in bodies:
+            if not bodies["backend"].get("endpoint"):
+                errors.append("backend.endpoint: required")
+            else:
+                _checked(errors, "backend", BackendConfig, **bodies["backend"])
 
         if errors:
             raise ConfigInvalid(errors)
 
-        self.controller = ControllerConfig(**(raw.get("controller") or {}))
-        self.prompts = PromptSet(**(raw.get("prompts") or {}))
-        self.k_trials = int(exp.get("k_trials", 1))
-        self.run_seed = int(exp.get("run_seed", 0))
-        self.parallelism = int(exp.get("parallelism", 8))
+        self.prompts = PromptSet(**bodies.get("prompts", {}))
         self.store_sync = exp.get("store_sync", "always")
         self.problems_path = base_dir / str(exp["problems"])
         self.output_dir = base_dir / str(raw.get("output_dir", "out"))

@@ -118,6 +118,8 @@ class ControllerConfig:
             raise ValueError("max_iterations must be >= 0")
         if self.accept_limit < 1 or self.reject_limit < 1:
             raise ValueError("accept/reject limits must be >= 1")
+        if self.max_parse_retries < 0:
+            raise ValueError("max_parse_retries must be >= 0")
 
 
 @dataclass

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import inf
 
 import numpy as np
 
@@ -124,8 +126,16 @@ class ChainTrajectory:
     states: list[str]
     seed: int
     verdicts: list[int] = field(default_factory=list)
-    pass_streaks: list[int] = field(default_factory=list)
-    fail_streaks: list[int] = field(default_factory=list)
+
+    @property
+    def pass_streaks(self) -> list[int]:
+        """Consecutive passes ending at each step; a fail resets the count."""
+        return list(accumulate(self.verdicts, lambda n, v: n + 1 if v else 0, initial=0))[1:]
+
+    @property
+    def fail_streaks(self) -> list[int]:
+        """Consecutive fails ending at each step; a pass resets the count."""
+        return list(accumulate(self.verdicts, lambda n, v: 0 if v else n + 1, initial=0))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -297,30 +307,33 @@ def simulate_verdep_chain(
         raise ValueError("max_iterations must be >= 1")
     if refine_on_pass and (acp.y_c1 is None or acp.y_i1 is None):
         raise ValueError("refine_on_pass requires y_c1 and y_i1")
-    rng = random.Random(seed)
+    random_ = random.Random(seed).random
+    alpha, beta, y_c0, y_i0, y_c1, y_i1 = (
+        acp.alpha, acp.beta, acp.y_c0, acp.y_i0, acp.y_c1, acp.y_i1)
+    accept_limit = acp.accept_limit
+    reject_limit = acp.reject_limit if acp.reject_limit is not None else inf
     correct = initial_state == CORRECT
-    traj = ChainTrajectory(states=[CORRECT if correct else INCORRECT], seed=seed)
+    states = [CORRECT if correct else INCORRECT]
+    verdicts: list[int] = []
     passes = fails = 0
     for _ in range(max_iterations):
-        verdict = rng.random() < (acp.beta if correct else acp.alpha)
-        if verdict:
+        if random_() < (beta if correct else alpha):
             passes += 1
             fails = 0
+            verdicts.append(1)
             if refine_on_pass:
-                correct = rng.random() < (acp.y_c1 if correct else acp.y_i1)
+                correct = random_() < (y_c1 if correct else y_i1)
         else:
             fails += 1
             passes = 0
-            correct = rng.random() < (acp.y_c0 if correct else acp.y_i0)
-        traj.verdicts.append(int(verdict))
-        traj.pass_streaks.append(passes)
-        traj.fail_streaks.append(fails)
-        traj.states.append(CORRECT if correct else INCORRECT)
-        if passes >= acp.accept_limit:
-            return "Accepted", correct, traj
-        if acp.reject_limit is not None and fails >= acp.reject_limit:
-            return "Rejected", correct, traj
-    return "Budget", correct, traj
+            verdicts.append(0)
+            correct = random_() < (y_c0 if correct else y_i0)
+        states.append(CORRECT if correct else INCORRECT)
+        if passes >= accept_limit or fails >= reject_limit:
+            break
+    exit_kind = ("Accepted" if passes >= accept_limit else
+                 "Rejected" if fails >= reject_limit else "Budget")
+    return exit_kind, correct, ChainTrajectory(states=states, seed=seed, verdicts=verdicts)
 
 
 def verdep_exit_frequencies(

@@ -11,8 +11,6 @@ import hashlib
 
 def derive_seed(*parts) -> int:
     """Hash an arbitrary tuple of ints/strings into a 63-bit seed."""
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:8], "big") >> 1
+    # Each part hashes as its repr followed by a unit separator (0x1f).
+    data = ("%r\x1f" * len(parts) % parts).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big") >> 1

@@ -1,13 +1,15 @@
 """Local chat-completion stub for exercising the HTTP backend offline.
 
 Replays a scripted list of responses in request order and records every
-request body it receives.
+request body it receives. A response dict may carry "delay_s", the time the
+stub waits before answering it.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -42,18 +44,24 @@ class StubChatServer:
                     self.end_headers()
                     self.wfile.write(b"scripted error")
                     return
+                time.sleep(entry.get("delay_s", 0))
                 payload = json.dumps(entry).encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+                try:
+                    self.send_response(200)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(payload)))
+                    self.end_headers()
+                    self.wfile.write(payload)
+                except ConnectionError:
+                    pass  # the client gave up on a delayed response
 
             def log_message(self, *args):
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll lets shutdown() return promptly when a test ends
+        self._thread = threading.Thread(target=self._server.serve_forever,
+                                        kwargs={"poll_interval": 0.01}, daemon=True)
 
     @property
     def endpoint(self) -> str:

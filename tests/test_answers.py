@@ -1,4 +1,5 @@
 import random
+import re
 import string
 
 import pytest
@@ -82,3 +83,60 @@ def test_case_fixtures_answer_sequence():
 def test_extraction_deterministic():
     for solution, _, _ in CASE_BLOCKS:
         assert extract_answer(solution) == extract_answer(solution)
+
+
+BOXED_EDGES = [
+    ("\\boxed {5}", "5"),
+    ("\\boxed\n{5}", "5"),
+    ("\\boxed \t\n {5}", "5"),
+    ("\\boxed{a{b{c}}d}", "a{b{c}}d"),
+    ("\\boxed{}", ""),
+    ("\\boxed{1} then \\boxed{2", "1"),
+    ("\\boxed{1} \\boxed{2} \\boxed{{3}", "2"),
+    ("\\boxed{8} and a bare \\boxed", "8"),
+    ("\\\\boxed{7}", "7"),
+    ("\\boxed\\boxed{9}", "9"),
+    ("\\boxe{7}", None),
+    ("\\boxed 7", None),
+    ("", None),
+]
+
+
+@pytest.mark.parametrize("text,expected", BOXED_EDGES)
+def test_extract_boxed_edges(text, expected):
+    assert extract_boxed(text) == expected
+
+
+def _reference_extract_boxed(text):
+    """Forward regex scan; the shipped function scans backwards for speed."""
+    if not text:
+        return None
+    for m in reversed(list(re.finditer(r"\\boxed\s*\{", text))):
+        depth = 1
+        for i in range(m.end(), len(text)):
+            if text[i] == "{":
+                depth += 1
+            elif text[i] == "}":
+                depth -= 1
+                if depth == 0:
+                    return text[m.end():i]
+    return None
+
+
+def test_extract_boxed_matches_forward_scan():
+    rng = random.Random(11)
+    atoms = ["\\boxed", "\\boxed{", "\\boxed {", "\\boxed\n{", "\\boxe{", "\\",
+             "{", "}", "x", "1", " "]
+    for _ in range(5000):
+        text = "".join(rng.choice(atoms) for _ in range(rng.randrange(12)))
+        assert extract_boxed(text) == _reference_extract_boxed(text), text
+
+
+def test_extract_answer_keyed_on_content():
+    # equal texts built separately parse alike, and a different text is not
+    # answered from an earlier parse
+    a = "".join(["Final: \\boxed{", "0", "42}"])
+    b = "Final: \\boxed{" + str(42).zfill(3) + "}"
+    assert a == b and a is not b
+    assert extract_answer(a) == extract_answer(b) == AnswerKey("42")
+    assert extract_answer(a.replace("42", "43")) == AnswerKey("43")

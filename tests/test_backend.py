@@ -7,6 +7,7 @@ import pytest
 from selfevolve.answers import AnswerKey
 from selfevolve.backend import (
     BackendConfig,
+    BackendTimeout,
     BackendUnavailable,
     HttpBackend,
     MockBackend,
@@ -16,6 +17,7 @@ from selfevolve.backend import (
     mock_reasoning_call,
     strip_thinking,
 )
+from selfevolve.engine import FAILURE_BACKEND, ControllerConfig, PromptSet, run_trial
 from selfevolve.markov import TransitionParams
 from stub_server import StubChatServer, completion
 
@@ -256,6 +258,34 @@ def test_http_malformed_body_retried():
         response = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert "\\boxed{1}" in response.summary_text
     assert len(server.requests) == 2
+
+
+# a response slower than the 0.05 s deadline on each of the 2 attempts
+SLOW = dict(completion("late \\boxed{1}"), delay_s=0.2)
+
+
+def test_http_timeout_on_every_attempt():
+    with StubChatServer([SLOW, SLOW]) as server:
+        backend = HttpBackend(_http_config(server.endpoint, timeout_s=0.05, max_attempts=2))
+        with pytest.raises(BackendTimeout):
+            backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert len(server.requests) == 2
+
+
+def test_http_timeout_carries_trial_state_forward():
+    # the solve succeeds; the verify call times out twice, so the committed
+    # iteration keeps the solution and is marked as a backend error
+    with StubChatServer([completion("so \\boxed{7}"), SLOW, SLOW]) as server:
+        backend = HttpBackend(_http_config(server.endpoint, timeout_s=0.05, max_attempts=2))
+        state = run_trial(ControllerConfig(max_iterations=1), backend, "question",
+                          PromptSet(), seed=3)
+    solved, timed_out = state.records
+    assert solved.answer == "7" and solved.failure is None
+    assert timed_out.failure == FAILURE_BACKEND
+    assert timed_out.solution_text == solved.solution_text
+    assert timed_out.answer == solved.answer
+    assert timed_out.verdict is None
+    assert len(server.requests) == 3
 
 
 def test_http_no_request_mutation():

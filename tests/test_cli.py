@@ -150,6 +150,38 @@ def test_cli_run_rejects_unknown_store_sync(workspace):
     assert not (workspace / "out").exists()
 
 
+MOCK_SECTION = BASE_CONFIG[:BASE_CONFIG.index("controller:")]
+HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
+                "  max_attempts: 0\n")
+
+
+@pytest.mark.parametrize("old,new", [
+    ("  p_ic: 0.3", "  p_ic: 2"),
+    ('  ground_truth: "60"\n', ""),
+    ("  kind: dser", "  kind: bogus"),
+    ("  k_trials: 2", "  k_trials: abc"),
+    ("  parallelism: 2", "  parallelism: abc"),
+    ("  parallelism: 2", "  parallelism: 0"),
+    ("  run_seed: 11", "  run_seed: abc"),
+    ("  max_iterations: 3", "  max_iterations: 3\n  max_parse_retries: -1"),
+    (MOCK_SECTION, HTTP_SECTION),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts", "max_in_flight")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts", "rps")),
+], ids=["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
+        "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
+        "max_parse_retries_negative", "max_attempts_zero", "max_in_flight_zero",
+        "rps_zero"])
+def test_cli_run_rejects_invalid_values(workspace, old, new):
+    # each value a dataclass or int() rejects is an invalid config (exit 2),
+    # reported before a run directory is written
+    assert old in BASE_CONFIG
+    (workspace / "bad.yaml").write_text(BASE_CONFIG.replace(old, new))
+    result = invoke("run", workspace / "bad.yaml")
+    assert result.exit_code == 2, result.output
+    assert "invalid config" in result.output
+    assert not (workspace / "out").exists()
+
+
 def test_cli_resume_uses_run_settings(workspace, monkeypatch):
     text = BASE_CONFIG.replace("  parallelism: 2", "  parallelism: 1\n  store_sync: flush")
     (workspace / "flush.yaml").write_text(text)
