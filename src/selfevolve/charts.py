@@ -10,9 +10,7 @@ WIDTH, HEIGHT = 640, 400
 MARGIN = 56
 
 
-def render_line_chart(series: dict[str, list[tuple[float, float]]],
-                      title: str = "", x_label: str = "iteration",
-                      y_label: str = "") -> str:
+def render_line_chart(series: dict[str, list[tuple[float, float]]], title: str = "") -> str:
     """Render named (x, y) series into an SVG document string."""
     points = [p for pts in series.values() for p in pts]
     if not points:
@@ -42,9 +40,7 @@ def render_line_chart(series: dict[str, list[tuple[float, float]]],
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" '
         f'stroke="black"/>',
         f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="12">{x_label}</text>',
-        f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" font-size="12" '
-        f'transform="rotate(-90 16 {HEIGHT / 2})">{y_label}</text>',
+        f'font-size="12">iteration</text>',
     ]
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x_min + frac * (x_max - x_min)
@@ -75,6 +71,6 @@ def render_line_chart(series: dict[str, list[tuple[float, float]]],
     return "\n".join(parts)
 
 
-def write_line_chart(path, series, title="", x_label="iteration", y_label="") -> None:
+def write_line_chart(path, series, title="") -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_line_chart(series, title, x_label, y_label))
+        fh.write(render_line_chart(series, title))

@@ -9,8 +9,8 @@ from pathlib import Path
 import click
 
 from . import markov
-from .aggregate import WrongController
-from .config import (ConfigDrift, ConfigInvalid, RunConfig, config_hash)
+from .config import (ConfigDrift, ConfigInvalid, RunConfig, build_backend_from_snapshot,
+                     config_hash)
 from .engine import resume_experiment, run_experiment
 from .reports import write_run_reports
 from .store import CorruptLog, RunStore, StoreUnavailable
@@ -69,8 +69,6 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
             cfg = RunConfig.load(config_path)
             if config_hash(cfg.snapshot()) != manifest["config_hash"]:
                 raise ConfigDrift("live config differs from the manifest snapshot")
-        from .config import build_backend_from_snapshot
-
         backend = build_backend_from_snapshot(manifest["config"])
         resume_experiment(store, run_id, backend)
     except ConfigInvalid as e:
@@ -90,20 +88,16 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
 @click.argument("run_id")
 @click.option("--runs-dir", type=click.Path(), default="out/runs", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--exit-ratios", is_flag=True, default=False)
 @click.option("--window", type=int, default=10, show_default=True)
-def cmd_analyze(run_id, runs_dir, out_dir, exit_ratios, window):
+def cmd_analyze(run_id, runs_dir, out_dir, window):
     """Recompute metric tables and charts from a run's event log."""
     try:
         store = RunStore(runs_dir)
-        written = write_run_reports(store, run_id, out_dir, window=window,
-                                    exit_ratios=exit_ratios)
+        written = write_run_reports(store, run_id, out_dir, window=window)
     except CorruptLog as e:
         _fail(EXIT_CORRUPT_LOG, str(e))
     except StoreUnavailable as e:
         _fail(EXIT_STORE_UNAVAILABLE, f"store unavailable: {e}")
-    except WrongController as e:
-        _fail(1, str(e))
     for path in written:
         click.echo(str(path))
 

@@ -52,6 +52,13 @@ def config_hash(snapshot: dict) -> str:
     ).hexdigest()
 
 
+def _integer(value) -> int:
+    """int(value), refusing a float or a bool instead of truncating it."""
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"must be an integer, not {value!r}")
+    return int(value)
+
+
 def _checked(errors: list[str], name: str, build, /, *args, **kwargs):
     """build(*args, **kwargs), recording a value error it raises under name
     in errors; None in that case."""
@@ -108,14 +115,14 @@ class RunConfig:
             problems_path = base_dir / str(exp["problems"])
             if not problems_path.exists():
                 errors.append(f"experiment.problems: file not found: {problems_path}")
-        self.k_trials = _checked(errors, "experiment.k_trials", int, exp.get("k_trials", 1))
+        self.k_trials = _checked(errors, "experiment.k_trials", _integer, exp.get("k_trials", 1))
         if self.k_trials is not None and self.k_trials < 1:
             errors.append("experiment.k_trials: must be >= 1")
-        self.parallelism = _checked(errors, "experiment.parallelism", int,
+        self.parallelism = _checked(errors, "experiment.parallelism", _integer,
                                     exp.get("parallelism", 8))
         if self.parallelism is not None and self.parallelism < 1:
             errors.append("experiment.parallelism: must be >= 1")
-        self.run_seed = _checked(errors, "experiment.run_seed", int, exp.get("run_seed", 0))
+        self.run_seed = _checked(errors, "experiment.run_seed", _integer, exp.get("run_seed", 0))
         if exp.get("store_sync", "always") not in SYNC_MODES:
             errors.append(f"experiment.store_sync: must be one of {list(SYNC_MODES)}")
 

@@ -108,12 +108,15 @@ class ControllerConfig:
     max_iterations: int = 80
     accept_limit: int = 5
     reject_limit: int = 10
-    carry_forward_on_failure: bool = True
     max_parse_retries: int = 2
 
     def __post_init__(self):
         if self.kind not in (DSER, VERDEP):
             raise ValueError(f"unknown controller kind {self.kind!r}")
+        for name in ("max_iterations", "accept_limit", "reject_limit", "max_parse_retries"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.accept_limit < 1 or self.reject_limit < 1:
@@ -136,43 +139,28 @@ class TrialState:
         return (self.problem_id, self.trial_index)
 
 
-def _noop_emit(kind: str, payload: dict) -> None:
-    pass
-
-
-def _call(backend, context: tuple[str, ...], seed: int, emit, phase: str, attempt: int):
-    """One backend invocation; emits a "Call" entry with what the committed
-    record cannot reproduce: the thinking text, usage, or the failure.
-
-    Returns (response, None) or (None, failure_kind).
-    """
-    call = {"phase": phase, "attempt": attempt}
-    try:
-        response = backend.reasoning_call(ReasoningRequest(context=context, request_seed=seed))
-    except ResponseTruncated as e:
-        call.update(failure=FAILURE_TRUNCATED, partial_text=e.partial_text)
-        emit("Call", call)
-        return None, FAILURE_TRUNCATED
-    except BackendError as e:
-        call.update(failure=FAILURE_BACKEND, error=str(e))
-        emit("Call", call)
-        return None, FAILURE_BACKEND
-    call.update(thinking=thinking_text(response.full_text),
-                prompt_tokens=response.prompt_tokens,
-                completion_tokens=response.completion_tokens)
-    emit("Call", call)
-    return response, None
-
-
-def _call_with_reask(backend, context, base_seed, emit, phase, config, parse):
+def _call_with_reask(backend, context, base_seed, calls, phase, config, parse):
     """Call, re-asking with the same context up to max_parse_retries when
     parse(summary) returns None (distinguishes format lapses from real
-    failure). Returns (response, parsed value, failure_kind)."""
+    failure). Each call appends to calls (unless None) an entry with what the
+    committed record cannot reproduce: the thinking text, usage, or the
+    failure. Returns (response, parsed value, failure_kind)."""
     for attempt in range(config.max_parse_retries + 1):
         seed = derive_seed(base_seed, "attempt", attempt)
-        response, failure = _call(backend, context, seed, emit, phase, attempt)
-        if failure is not None:
-            return None, None, failure
+        call = {"phase": phase, "attempt": attempt}
+        if calls is not None:
+            calls.append(call)
+        try:
+            response = backend.reasoning_call(ReasoningRequest(context=context, request_seed=seed))
+        except ResponseTruncated as e:
+            call.update(failure=FAILURE_TRUNCATED, partial_text=e.partial_text)
+            return None, None, FAILURE_TRUNCATED
+        except BackendError as e:
+            call.update(failure=FAILURE_BACKEND, error=str(e))
+            return None, None, FAILURE_BACKEND
+        call.update(thinking=thinking_text(response.full_text),
+                    prompt_tokens=response.prompt_tokens,
+                    completion_tokens=response.completion_tokens)
         parsed = parse(response.summary_text)
         if parsed is not None:
             return response, parsed, None
@@ -180,13 +168,13 @@ def _call_with_reask(backend, context, base_seed, emit, phase, config, parse):
 
 
 def solve(backend, question: str, prompts: PromptSet, seed: int,
-          config: ControllerConfig = ControllerConfig(), emit=_noop_emit) -> IterationRecord:
+          config: ControllerConfig = ControllerConfig(), calls=None) -> IterationRecord:
     """Initial record: one reasoning call on [solve_prompt; q]."""
     if not question:
         raise ValueError("question must be non-empty")
     context = (prompts.solve_prompt, question)
     response, answer, failure = _call_with_reask(
-        backend, context, seed, emit, "solve", config, extract_answer)
+        backend, context, seed, calls, "solve", config, extract_answer)
     if response is None:
         return IterationRecord(index=0, solution_text="", failure=failure)
     return IterationRecord(
@@ -207,7 +195,7 @@ def parse_verdict(summary_text: str) -> int | None:
 
 
 def verify(backend, question: str, solution: str, prompts: PromptSet, seed: int,
-           config: ControllerConfig = ControllerConfig(), emit=_noop_emit):
+           config: ControllerConfig = ControllerConfig(), calls=None):
     """Verification call on [q; s; p_v].
 
     Returns (verification_text, verdict, failure, usage). An absent verdict is
@@ -217,7 +205,7 @@ def verify(backend, question: str, solution: str, prompts: PromptSet, seed: int,
         raise ValueError("solution must be non-empty")
     context = (question, solution, prompts.verify_prompt)
     response, verdict, failure = _call_with_reask(
-        backend, context, seed, emit, "verify", config, parse_verdict)
+        backend, context, seed, calls, "verify", config, parse_verdict)
     if response is None:
         return None, None, failure, (0, 0)
     return (
@@ -230,26 +218,19 @@ def verify(backend, question: str, solution: str, prompts: PromptSet, seed: int,
 
 def refine(backend, question: str, solution: str, verification_text: str,
            prompts: PromptSet, seed: int, prior: IterationRecord,
-           config: ControllerConfig = ControllerConfig(), emit=_noop_emit) -> IterationRecord:
+           config: ControllerConfig = ControllerConfig(), calls=None) -> IterationRecord:
     """Refinement call on [q; s; p_v; v; p_r] producing the next record.
 
-    On failure with carry-forward, the prior solution becomes the new state
-    and the record is marked failed.
+    On failure the prior solution is carried forward as the new state and the
+    record is marked failed.
     """
     context = (question, solution, prompts.verify_prompt, verification_text,
                prompts.refine_prompt)
     response, answer, failure = _call_with_reask(
-        backend, context, seed, emit, "refine", config, extract_answer)
+        backend, context, seed, calls, "refine", config, extract_answer)
     if failure is not None:
-        if config.carry_forward_on_failure:
-            return IterationRecord(
-                index=prior.index + 1,
-                solution_text=prior.solution_text,
-                answer=prior.answer,
-                failure=failure,
-            )
-        text = response.summary_text if response is not None else ""
-        return IterationRecord(index=prior.index + 1, solution_text=text, failure=failure)
+        return IterationRecord(index=prior.index + 1, solution_text=prior.solution_text,
+                               answer=prior.answer, failure=failure)
     return IterationRecord(
         index=prior.index + 1,
         solution_text=response.summary_text,
@@ -257,32 +238,6 @@ def refine(backend, question: str, solution: str, verification_text: str,
         prompt_tokens=response.prompt_tokens,
         completion_tokens=response.completion_tokens,
     )
-
-
-def _trial_emitter(log: RunLog | None, trial_id: tuple[str, int]):
-    """Emitter that appends one trial's events to the log.
-
-    "Call" entries are buffered and written as payload["calls"] of the next
-    IterationCommitted, so each iteration costs one append.
-    """
-    if log is None:
-        return _noop_emit
-    calls: list[dict] = []
-
-    def emit(kind: str, payload: dict) -> None:
-        nonlocal calls
-        if kind == "Call":
-            calls.append(payload)
-            return
-        if kind == "IterationCommitted":
-            payload["calls"], calls = calls, []
-        log.append(kind, payload, trial_id=trial_id)
-
-    return emit
-
-
-def _commit(emit, record: IterationRecord) -> None:
-    emit("IterationCommitted", {"record": record.to_dict()})
 
 
 def _streaks(records: list[IterationRecord]) -> tuple[int, int]:
@@ -297,10 +252,11 @@ def _streaks(records: list[IterationRecord]) -> tuple[int, int]:
 
 
 def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptSet,
-              seed: int, emit=_noop_emit, state: TrialState | None = None,
+              seed: int, log: RunLog | None = None, state: TrialState | None = None,
               problem_id: str = "p0", trial_index: int = 0) -> TrialState:
-    """One trial: the initial solve, then verify steps, each committed before
-    the next call begins, until max_iterations of them are done.
+    """One trial: the initial solve, then verify steps, until max_iterations
+    of them are done. Each record is committed, appended to log with the
+    calls made for it when a log is given, before the next call begins.
 
     DSER refines after every verdict. VERDEP keeps a passed solution unchanged
     and refines after a fail (an unparseable verdict counts as a fail); it
@@ -309,11 +265,6 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
     """
     if state is None:
         state = TrialState(problem_id, trial_index, config.kind, seed)
-    if not state.records:
-        record = solve(backend, question, prompts,
-                       derive_seed(seed, 0, "solve"), config, emit)
-        state.records.append(record)
-        _commit(emit, record)
     verdep = config.kind == VERDEP
     accept, reject = (config.accept_limit, config.reject_limit) if verdep else (inf, inf)
     # The streaks rebuilt from the records are tested before the first call,
@@ -321,27 +272,35 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
     passes, fails = _streaks(state.records)
     while passes < accept and fails < reject and len(state.records) <= config.max_iterations:
         n = len(state.records)
-        prior = state.records[-1]
-        v_text, verdict, v_failure, v_usage = verify(
-            backend, question, prior.solution_text or "(no solution)",
-            prompts, derive_seed(seed, n, "verify"), config, emit)
-        passes, fails = (passes + 1, 0) if verdict == 1 else (0, fails + 1)
-        if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND) or (verdep and verdict == 1):
-            record = IterationRecord(index=n, solution_text=prior.solution_text,
-                                     answer=prior.answer, failure=v_failure)
+        calls: list[dict] = []
+        if n == 0:
+            record = solve(backend, question, prompts, derive_seed(seed, 0, "solve"),
+                           config, calls)
         else:
-            record = refine(backend, question, prior.solution_text or "(no solution)",
-                            v_text or "", prompts, derive_seed(seed, n, "refine"),
-                            prior, config, emit)
-        record.verification_text = v_text
-        record.verdict = verdict
-        record.prompt_tokens += v_usage[0]
-        record.completion_tokens += v_usage[1]
+            prior = state.records[-1]
+            v_text, verdict, v_failure, v_usage = verify(
+                backend, question, prior.solution_text or "(no solution)",
+                prompts, derive_seed(seed, n, "verify"), config, calls)
+            passes, fails = (passes + 1, 0) if verdict == 1 else (0, fails + 1)
+            if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND) or (verdep and verdict == 1):
+                record = IterationRecord(index=n, solution_text=prior.solution_text,
+                                         answer=prior.answer, failure=v_failure)
+            else:
+                record = refine(backend, question, prior.solution_text or "(no solution)",
+                                v_text or "", prompts, derive_seed(seed, n, "refine"),
+                                prior, config, calls)
+            record.verification_text = v_text
+            record.verdict = verdict
+            record.prompt_tokens += v_usage[0]
+            record.completion_tokens += v_usage[1]
         state.records.append(record)
-        _commit(emit, record)
+        if log is not None:
+            log.append("IterationCommitted", {"record": record.to_dict(), "calls": calls},
+                       trial_id=state.trial_id)
     state.status = (ACCEPTED_EXIT if passes >= accept else
                     REJECTED_EXIT if fails >= reject else COMPLETED)
-    emit("TrialExited", {"status": state.status})
+    if log is not None:
+        log.append("TrialExited", {"status": state.status}, trial_id=state.trial_id)
     return state
 
 
@@ -378,36 +337,6 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
     return states
 
 
-def build_manifest(run_id: str, run_seed: int, problems: list[Problem],
-                   k_trials: int, config_snapshot: dict, config_hash: str,
-                   parallelism: int, store_sync: str) -> dict:
-    """The run's manifest; parallelism and store_sync sit outside the config
-    snapshot, so they do not enter its hash."""
-    return {
-        "run_id": run_id,
-        "created_at": time.time(),
-        "run_seed": run_seed,
-        "k_trials": k_trials,
-        "config": config_snapshot,
-        "config_hash": config_hash,
-        "parallelism": parallelism,
-        "store_sync": store_sync,
-        "problems": [
-            {"id": p.problem_id, "statement": p.statement,
-             "answer": p.answer.canonical if p.answer else None}
-            for p in problems
-        ],
-    }
-
-
-def problems_from_manifest(manifest: dict) -> list[Problem]:
-    return [
-        Problem(p["id"], p["statement"],
-                normalize_answer(p["answer"]) if p["answer"] is not None else None)
-        for p in manifest["problems"]
-    ]
-
-
 def run_experiment(problems: list[Problem], k_trials: int, config: ControllerConfig,
                    backend, prompts: PromptSet, run_seed: int, store: RunStore,
                    parallelism: int = 8, run_id: str | None = None,
@@ -415,6 +344,9 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
                    store_sync: str = "always") -> str:
     """Schedule problems x k_trials independent trials with bounded parallelism.
 
+    The manifest's config is config_snapshot (its mock or backend section,
+    say) with the controller and prompts sections written from config and
+    prompts; the run then takes the path a resume takes, from an empty log.
     backend is either a single backend object or anything with a
     for_problem(problem) method returning one (the mock needs the per-problem
     ground truth). Returns the run id; the manifest and event log are durable
@@ -424,17 +356,23 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
         raise ValueError("k_trials must be >= 1")
     if run_id is None:
         run_id = uuid.uuid4().hex[:12]
-    if config_snapshot is None:
-        config_snapshot = {"controller": dataclasses.asdict(config)}
-    manifest = build_manifest(run_id, run_seed, problems, k_trials,
-                              config_snapshot, config_hash, parallelism, store_sync)
-    store.create_run(run_id, manifest)
-    log = store.open_log(run_id, sync=store_sync)
-    try:
-        _execute_trials(manifest, {}, config, backend, prompts, log, parallelism)
-        log.append("RunFinalized", {})
-    finally:
-        log.close()
+    # parallelism and store_sync sit outside the config snapshot, so they do
+    # not enter its hash
+    store.create_run(run_id, {
+        "run_id": run_id,
+        "created_at": time.time(),
+        "run_seed": run_seed,
+        "k_trials": k_trials,
+        "config": dict(config_snapshot or {}, controller=dataclasses.asdict(config),
+                       prompts=dataclasses.asdict(prompts)),
+        "config_hash": config_hash,
+        "parallelism": parallelism,
+        "store_sync": store_sync,
+        "problems": [{"id": p.problem_id, "statement": p.statement,
+                      "answer": p.answer.canonical if p.answer else None}
+                     for p in problems],
+    })
+    _run(store, run_id, store.manifest(run_id), backend, parallelism, store_sync)
     return run_id
 
 
@@ -443,58 +381,55 @@ def resume_experiment(store: RunStore, run_id: str, backend,
     """Complete the remaining trials of a half-finished run.
 
     parallelism and store_sync default to the run's own, as its manifest
-    records them (8 and "always" for a manifest that predates them). The log
-    is read once, by the append handle; the trial states are rebuilt from the
-    events it parsed.
+    records them (8 and "always" for a manifest that predates them).
     """
     manifest = store.manifest(run_id)
     if parallelism is None:
         parallelism = manifest.get("parallelism", 8)
     if store_sync is None:
         store_sync = manifest.get("store_sync", "always")
-    config = ControllerConfig(**manifest["config"]["controller"])
+    _run(store, run_id, manifest, backend, parallelism, store_sync)
+
+
+def _run(store: RunStore, run_id: str, manifest: dict, backend,
+         parallelism: int, store_sync: str) -> None:
+    """Run every trial the log does not show as stopped, then finalize.
+
+    The controller, prompts and problems come from the manifest alone. The
+    log is read once, by the append handle, and the trial states are rebuilt
+    from the events it parsed (none for a fresh run).
+    """
+    controller = dict(manifest["config"]["controller"])
+    # manifests written before the key was removed hold it; only true, the
+    # behaviour that remains, can resume
+    if controller.pop("carry_forward_on_failure", True) is not True:
+        raise ValueError("controller.carry_forward_on_failure: only true is supported; "
+                         "a failed refine always keeps the prior solution")
+    config = ControllerConfig(**controller)
     prompts = PromptSet(**manifest["config"].get("prompts", {}))
+    problems = {p["id"]: Problem(p["id"], p["statement"],
+                                 None if p["answer"] is None else normalize_answer(p["answer"]))
+                for p in manifest["problems"]}
     log = store.open_log(run_id, sync=store_sync)
     try:
         if log.finalized:
             return
         states = rebuild_trial_states(manifest, log.events)
-        _execute_trials(manifest, states, config, backend, prompts, log, parallelism)
+
+        def worker(st: TrialState) -> None:
+            problem = problems[st.problem_id]
+            trial_backend = (backend.for_problem(problem) if hasattr(backend, "for_problem")
+                             else backend)
+            run_trial(config, trial_backend, problem.statement, prompts, st.seed, log,
+                      state=st)
+
+        pending = [st for st in states.values() if st.status not in TERMINAL_STATUSES]
+        if parallelism <= 1:
+            for st in pending:
+                worker(st)
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                list(pool.map(worker, pending))
         log.append("RunFinalized", {})
     finally:
         log.close()
-
-
-def _execute_trials(manifest: dict, states: dict, config: ControllerConfig,
-                    backend, prompts: PromptSet, log: RunLog, parallelism: int) -> None:
-    problems = problems_from_manifest(manifest)
-    run_seed = manifest["run_seed"]
-    k_trials = manifest["k_trials"]
-
-    def backend_for(problem: Problem):
-        if hasattr(backend, "for_problem"):
-            return backend.for_problem(problem)
-        return backend
-
-    tasks = []
-    for problem in problems:
-        for t in range(k_trials):
-            tid = (problem.problem_id, t)
-            st = states.get(tid)
-            if st is not None and st.status in TERMINAL_STATUSES:
-                continue
-            tasks.append((problem, t, st))
-
-    def worker(task):
-        problem, t, st = task
-        seed = trial_seed(run_seed, problem.problem_id, t)
-        emit = _trial_emitter(log, (problem.problem_id, t))
-        run_trial(config, backend_for(problem), problem.statement, prompts,
-                  seed, emit, state=st, problem_id=problem.problem_id, trial_index=t)
-
-    if parallelism <= 1:
-        for task in tasks:
-            worker(task)
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(worker, tasks))

@@ -15,10 +15,13 @@ from .engine import VERDEP
 from .store import RunStore
 
 
+FINAL_WINDOW = 10
+
+
 def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path,
-                      window: int = 10, final_window: int = 10,
-                      exit_ratios: bool = False) -> list[Path]:
-    """Write per-problem metric CSVs/charts and the pooled summary table."""
+                      window: int = 10) -> list[Path]:
+    """Write per-problem metric CSVs/charts, exit ratios for VERDEP trials, and
+    the pooled summary table over the last FINAL_WINDOW iterations."""
     manifest, states = store.load_run(run_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -50,7 +53,7 @@ def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path,
         write_line_chart(chart_path, series, title=f"accuracy over iterations: {pid}")
         written.append(chart_path)
 
-        if exit_ratios or all(t.controller == VERDEP for t in trials):
+        if all(t.controller == VERDEP for t in trials):
             exits = exit_ratio_series(trials)
             exit_path = out / f"exit_ratios_{pid}.csv"
             with open(exit_path, "w", newline="", encoding="utf-8") as fh:
@@ -69,9 +72,9 @@ def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path,
             written.append(exit_chart)
 
         min_len = min(len(t.records) for t in trials)
-        if min_len >= final_window:
+        if min_len >= FINAL_WINDOW:
             avg_pooled, cons_pooled = pooled_table_metrics(
-                trials, truth, final_window=final_window)
+                trials, truth, final_window=FINAL_WINDOW)
             pooled_rows.append({"problem": pid, "avg_pooled": avg_pooled,
                                 "cons_pooled": cons_pooled})
 

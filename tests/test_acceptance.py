@@ -242,17 +242,24 @@ def test_transcript_answer_extraction(capsys):
     report(capsys, "recorded transcripts extract 62/0/60 with markup stripped", ok)
 
 
-# 9. killing a run anywhere and resuming reproduces the metrics byte-for-byte
-def test_crash_resume_byte_identical(capsys, tmp_path):
-    spec = make_spec(0.3, 0.1)
+def report_bytes(out_dir) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+# 9. killing a run anywhere and resuming reproduces the reports byte-for-byte
+@pytest.mark.parametrize("config, spec", [
+    (ControllerConfig(kind=DSER, max_iterations=10), make_spec(0.3, 0.1)),
+    (ControllerConfig(kind=VERDEP, max_iterations=10, accept_limit=3, reject_limit=3),
+     make_spec(0.3, 0.1, alpha=0.3, beta=0.8, initial=0.3)),
+], ids=["dser", "verdep"])
+def test_crash_resume_byte_identical(capsys, tmp_path, config, spec):
     problems = [Problem("p0", "compute the value", AnswerKey("60"))]
-    config = ControllerConfig(kind=DSER, max_iterations=10)
     store = RunStore(tmp_path / "base")
     run_id = run_experiment(problems, 4, config, MockBackendProvider(spec),
                             PROMPTS, 77, store, parallelism=2,
                             store_sync="flush")
     write_run_reports(store, run_id, tmp_path / "base_reports")
-    baseline = (tmp_path / "base_reports" / "metrics_p0.csv").read_bytes()
+    baseline = report_bytes(tmp_path / "base_reports")
     log_bytes = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
 
     rng = random.Random(99)
@@ -266,10 +273,9 @@ def test_crash_resume_byte_identical(capsys, tmp_path):
         resume_experiment(cut_store, run_id, MockBackendProvider(spec),
                           store_sync="flush")
         write_run_reports(cut_store, run_id, tmp_path / f"reports{i}")
-        resumed = (tmp_path / f"reports{i}" / "metrics_p0.csv").read_bytes()
-        identical += int(resumed == baseline)
-    report(capsys, "resume after 10 random crash points reproduces metrics exactly",
-           identical == 10, f"{identical}/10 byte-identical")
+        identical += int(report_bytes(tmp_path / f"reports{i}") == baseline)
+    report(capsys, f"{config.kind} resume after 10 random crash points reproduces "
+                   "reports exactly", identical == 10, f"{identical}/10 byte-identical")
 
 
 # 10. HTTP round trip concatenates context segments in the documented order

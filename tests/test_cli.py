@@ -167,13 +167,22 @@ HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
     (MOCK_SECTION, HTTP_SECTION),
     (MOCK_SECTION, HTTP_SECTION.replace("max_attempts", "max_in_flight")),
     (MOCK_SECTION, HTTP_SECTION.replace("max_attempts", "rps")),
+    ("  k_trials: 2", "  k_trials: 2.7"),
+    ("  k_trials: 2", "  k_trials: true"),
+    ("  parallelism: 2", "  parallelism: 1.9"),
+    ("  run_seed: 11", "  run_seed: 11.5"),
+    ("  max_iterations: 3", "  max_iterations: 2.5"),
+    ("  max_iterations: 3", "  max_iterations: 3\n  accept_limit: 2.5"),
+    ("  max_iterations: 3", "  max_iterations: 3\n  reject_limit: true"),
 ], ids=["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
         "max_parse_retries_negative", "max_attempts_zero", "max_in_flight_zero",
-        "rps_zero"])
+        "rps_zero", "k_trials_float", "k_trials_bool", "parallelism_float",
+        "run_seed_float", "max_iterations_float", "accept_limit_float",
+        "reject_limit_bool"])
 def test_cli_run_rejects_invalid_values(workspace, old, new):
-    # each value a dataclass or int() rejects is an invalid config (exit 2),
-    # reported before a run directory is written
+    # each value a dataclass or the integer check rejects is an invalid config
+    # (exit 2), reported before a run directory is written
     assert old in BASE_CONFIG
     (workspace / "bad.yaml").write_text(BASE_CONFIG.replace(old, new))
     result = invoke("run", workspace / "bad.yaml")
@@ -197,18 +206,18 @@ def test_cli_resume_uses_run_settings(workspace, monkeypatch):
     log.write_bytes(full[:len(full) // 2])
 
     seen = {}
-    open_log, execute = RunStore.open_log, engine._execute_trials
+    open_log, run = RunStore.open_log, engine._run
 
     def spy_open_log(self, run_id, sync="always"):
         seen["sync"] = sync
         return open_log(self, run_id, sync=sync)
 
-    def spy_execute(*args):
-        seen["parallelism"] = args[-1]
-        return execute(*args)
+    def spy_run(store, run_id, manifest, backend, parallelism, store_sync):
+        seen["parallelism"] = parallelism
+        return run(store, run_id, manifest, backend, parallelism, store_sync)
 
     monkeypatch.setattr(RunStore, "open_log", spy_open_log)
-    monkeypatch.setattr(engine, "_execute_trials", spy_execute)
+    monkeypatch.setattr(engine, "_run", spy_run)
     result = invoke("resume", run_id, "--runs-dir", runs, "--config", workspace / "flush.yaml")
     assert result.exit_code == 0, result.output
     assert seen == {"sync": "flush", "parallelism": 1}
@@ -252,11 +261,13 @@ def test_cli_analyze_idempotent(workspace):
         assert path.read_bytes() == (out2 / path.name).read_bytes()
 
 
-def test_cli_analyze_exit_ratios_wrong_controller(workspace):
+def test_cli_analyze_dser_writes_no_exit_ratios(workspace):
     run_id = run_cli_experiment(workspace)
     result = invoke("analyze", run_id, "--runs-dir", workspace / "out" / "runs",
-                    "--out", workspace / "a", "--exit-ratios")
-    assert result.exit_code == 1
+                    "--out", workspace / "a")
+    assert result.exit_code == 0, result.output
+    assert (workspace / "a" / "metrics_p0.csv").exists()
+    assert not list((workspace / "a").glob("exit_ratios_*"))
 
 
 def test_cli_analyze_corrupt_log(workspace):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -11,6 +12,7 @@ from selfevolve.backend import (
     MockSpec,
     ReasoningRequest,
     ReasoningResponse,
+    ResponseTruncated,
 )
 from selfevolve.engine import (
     ACCEPTED_EXIT,
@@ -460,6 +462,51 @@ def test_verdep_resume_after_exit_record(tmp_path):
         assert committed_view(copy.load_run(run_id)[1]) == want
 
 
+def test_resume_uses_run_prompts(tmp_path):
+    # without a config snapshot the manifest still records the run's prompts,
+    # so a resumed run sends the contexts the uninterrupted one sent
+    prompts = PromptSet(verify_prompt="Check it. End with \\boxed{1} or \\boxed{0}.")
+    spec = make_spec()
+    store = RunStore(tmp_path / "runs")
+    run_id = run_experiment([Problem("p0", "what is the answer?", AnswerKey("60"))], 3,
+                            ControllerConfig(kind=DSER, max_iterations=4),
+                            MockBackendProvider(spec), prompts, 3, store, parallelism=1)
+    want = committed_view(store.load_run(run_id)[1])
+    full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
+    copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2])
+    resume_experiment(copy, run_id, MockBackendProvider(spec))
+    assert committed_view(copy.load_run(run_id)[1]) == want
+
+
+def old_manifest_copy(tmp_path, carry_forward):
+    """A run cut in half whose manifest's controller section holds the
+    carry_forward_on_failure key that older runs wrote; returns
+    (store, run_id, uninterrupted committed view, spec)."""
+    spec = make_spec(**VERDEP_SPEC)
+    store, run_id = run_mock_experiment(tmp_path / "base", k=4, horizon=12, kind=VERDEP,
+                                        parallelism=1, spec=spec)
+    manifest, states = store.load_run(run_id)
+    manifest["config"]["controller"]["carry_forward_on_failure"] = carry_forward
+    full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
+    copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2], manifest)
+    return copy, run_id, committed_view(states), spec
+
+
+def test_resume_old_manifest_with_carry_forward(tmp_path):
+    copy, run_id, want, spec = old_manifest_copy(tmp_path, True)
+    resume_experiment(copy, run_id, MockBackendProvider(spec))
+    assert committed_view(copy.load_run(run_id)[1]) == want
+
+
+def test_resume_refuses_carry_forward_false(tmp_path):
+    copy, run_id, _, spec = old_manifest_copy(tmp_path, False)
+    log = run_dir(copy.root, run_id) / "events.log"
+    before = log.read_bytes()
+    with pytest.raises(ValueError, match="carry_forward_on_failure"):
+        resume_experiment(copy, run_id, MockBackendProvider(spec))
+    assert log.read_bytes() == before
+
+
 def v1_log(events):
     """The schema-1 shape of a run's log: per call a CallSent and a
     CallReceived, a SolveStarted per trial, streak extras on VERDEP commits."""
@@ -513,3 +560,58 @@ def test_v1_log_resumes_to_v2_run(tmp_path):
         len(st.records) for st in states.values())
     resume_experiment(v1, run_id, MockBackendProvider(spec), store_sync="flush")
     assert committed_view(v1.load_run(run_id)[1]) == committed_view(states)
+
+
+class SeedFaults:
+    """Fails the calls whose seed falls in fixed residue classes, with a
+    backend error or a truncation, so the faults do not depend on call order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def for_problem(self, problem):
+        return SeedFaults(self.inner.for_problem(problem))
+
+    def reasoning_call(self, request):
+        if request.request_seed % 11 == 0:
+            raise BackendUnavailable("down")
+        if request.request_seed % 13 == 0:
+            raise ResponseTruncated("cut", partial_text="part")
+        return self.inner.reasoning_call(request)
+
+
+def log_digest(path):
+    """sha256 of an event log with each event's wall-clock ts removed."""
+    lines = []
+    for line in path.read_bytes().splitlines():
+        event = json.loads(line)
+        del event["ts"]
+        lines.append(json.dumps(event, separators=(",", ":")))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# computed with the engine as it was before run and resume shared one path
+GOLDEN_LOGS = {
+    DSER: "067cb561366e5ee1f44c834f196089e1479a32f973c04f4f3b87977d1cf139f6",
+    VERDEP: "d8d95f1e7892e18f6672b4adda47df1fd4f52837382b19484ab3bd1b28bb4b2a",
+}
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_event_log_golden(tmp_path, kind):
+    # every persisted byte but ts is pinned, for a fresh run and for the same
+    # run resumed from half its log
+    spec = make_spec(**VERDEP_SPEC, wrong_answer_space=5)
+    problems = [Problem("p0", "what is 59+1?", AnswerKey("60")),
+                Problem("p1", "what is 7*8+4?", AnswerKey("60"))]
+    config = ControllerConfig(kind=kind, max_iterations=6, accept_limit=2, reject_limit=3)
+    store = RunStore(tmp_path / "runs")
+    run_id = run_experiment(problems, 3, config, SeedFaults(MockBackendProvider(spec)),
+                            PROMPTS, 5, store, parallelism=1, run_id="run",
+                            store_sync="flush")
+    full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
+    copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2])
+    resume_experiment(copy, run_id, SeedFaults(MockBackendProvider(spec)), store_sync="flush")
+    fresh = log_digest(run_dir(store.root, run_id) / "events.log")
+    resumed = log_digest(run_dir(copy.root, run_id) / "events.log")
+    assert (fresh, resumed) == (GOLDEN_LOGS[kind], GOLDEN_LOGS[kind])
