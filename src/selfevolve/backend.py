@@ -8,17 +8,17 @@ The raw text is preserved on the response for persistence.
 from __future__ import annotations
 
 import dataclasses
+import http.client
+import json
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
 from .markov import TransitionParams
-
-import random
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -129,17 +129,28 @@ class BackendConfig:
             raise ValueError("max_response_tokens must be >= 1")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        url = urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
 
 
 class HttpBackend:
     """Chat-completion client with retry/backoff, an in-flight cap, and an rps limit.
 
     Safe for concurrent use; the limiter state is shared and synchronized.
+    Each thread keeps one keep-alive connection to the endpoint.
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
-        self._session = requests.Session()
+        url = urlsplit(config.endpoint)
+        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        # an explicit port keeps http.client from parsing an IPv6 host for one
+        self._host = url.hostname
+        self._port = url.port or self._connection_class.default_port
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._local = threading.local()
         self._inflight = threading.Semaphore(config.max_in_flight)
         self._rate_lock = threading.Lock()
         self._next_allowed = 0.0
@@ -162,6 +173,28 @@ class HttpBackend:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _post(self, payload: bytes) -> tuple[int, bytes]:
+        """POST payload on this thread's connection; returns (status, body).
+
+        A reused connection that the server has closed since its last response
+        fails with a connection error; the request is then sent once more on a
+        fresh connection. Any other failure closes the connection and raises.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connection_class(
+                self._host, self._port, timeout=self.config.timeout_s)
+        while True:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", self._path, body=payload, headers=self._headers())
+                response = conn.getresponse()
+                return response.status, response.read()
+            except BaseException as e:
+                conn.close()
+                if not (reused and isinstance(e, ConnectionError)):
+                    raise
+
     def reasoning_call(self, request: ReasoningRequest) -> ReasoningResponse:
         body = {
             "model": self.config.model,
@@ -171,6 +204,7 @@ class HttpBackend:
         }
         if request.request_seed is not None:
             body["seed"] = request.request_seed
+        payload = json.dumps(body).encode("utf-8")
 
         last_error: Exception | None = None
         timed_out = False
@@ -185,32 +219,26 @@ class HttpBackend:
                 self._throttle()
                 started = time.monotonic()
                 try:
-                    resp = self._session.post(
-                        self.config.endpoint,
-                        json=body,
-                        headers=self._headers(),
-                        timeout=self.config.timeout_s,
-                    )
-                except requests.Timeout as e:
+                    status, data = self._post(payload)
+                except TimeoutError as e:
                     last_error, timed_out = e, True
                     continue
-                except requests.RequestException as e:
+                except (OSError, http.client.HTTPException) as e:
                     last_error = e
                     continue
-                if resp.status_code in (429,) or resp.status_code >= 500:
-                    last_error = BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                    continue
-                if resp.status_code != 200:
-                    raise BackendUnavailable(
-                        f"HTTP {resp.status_code}: {resp.text[:200]}"
-                    )
+                if status != 200:
+                    error = f"HTTP {status}: {data[:200].decode(errors='replace')}"
+                    if status == 429 or status >= 500:
+                        last_error = BackendError(error)
+                        continue
+                    raise BackendUnavailable(error)
                 try:
-                    payload = resp.json()
-                    choice = payload["choices"][0]
+                    completion = json.loads(data)
+                    choice = completion["choices"][0]
                     full_text = choice["message"]["content"]
                     if not isinstance(full_text, str):
                         raise TypeError(f"content is {full_text!r}")
-                    usage = payload.get("usage") or {}
+                    usage = completion.get("usage") or {}
                     prompt_tokens = int(usage.get("prompt_tokens", 0))
                     completion_tokens = int(usage.get("completion_tokens", 0))
                 except (ValueError, LookupError, TypeError, AttributeError) as e:

@@ -24,7 +24,7 @@ import yaml
 
 from .answers import normalize_answer
 from .backend import BackendConfig, HttpBackend, MockBackendProvider, mock_spec_from_dict
-from .engine import ControllerConfig, Problem, PromptSet
+from .engine import ControllerConfig, Problem, PromptSet, controller_from_snapshot
 from .store import SYNC_MODES
 
 
@@ -177,9 +177,20 @@ class RunConfig:
 
 
 def build_backend_from_snapshot(snapshot: dict):
+    """The backend a config snapshot describes. A controller, mock or backend
+    section that cannot build its config raises ConfigInvalid, so a resume
+    refuses the run before it appends anything."""
+    errors: list[str] = []
+    _checked(errors, "controller", controller_from_snapshot, snapshot)
     if "mock" in snapshot:
-        return MockBackendProvider(mock_spec_from_dict(snapshot["mock"]))
-    return HttpBackend(BackendConfig(**snapshot["backend"]))
+        backend = _checked(errors, "mock", lambda: MockBackendProvider(
+            mock_spec_from_dict(snapshot["mock"])))
+    else:
+        backend = _checked(errors, "backend", lambda: HttpBackend(
+            BackendConfig(**snapshot["backend"])))
+    if errors:
+        raise ConfigInvalid(errors)
+    return backend
 
 
 def load_problems(path: str | Path) -> list[Problem]:

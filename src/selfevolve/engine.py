@@ -391,6 +391,17 @@ def resume_experiment(store: RunStore, run_id: str, backend,
     _run(store, run_id, manifest, backend, parallelism, store_sync)
 
 
+def controller_from_snapshot(snapshot: dict) -> ControllerConfig:
+    """The controller config of a manifest's config snapshot."""
+    controller = dict(snapshot["controller"])
+    # manifests written before the key was removed hold it; only true, the
+    # behaviour that remains, can resume
+    if controller.pop("carry_forward_on_failure", True) is not True:
+        raise ValueError("carry_forward_on_failure: only true is supported; "
+                         "a failed refine always keeps the prior solution")
+    return ControllerConfig(**controller)
+
+
 def _run(store: RunStore, run_id: str, manifest: dict, backend,
          parallelism: int, store_sync: str) -> None:
     """Run every trial the log does not show as stopped, then finalize.
@@ -399,13 +410,7 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
     log is read once, by the append handle, and the trial states are rebuilt
     from the events it parsed (none for a fresh run).
     """
-    controller = dict(manifest["config"]["controller"])
-    # manifests written before the key was removed hold it; only true, the
-    # behaviour that remains, can resume
-    if controller.pop("carry_forward_on_failure", True) is not True:
-        raise ValueError("controller.carry_forward_on_failure: only true is supported; "
-                         "a failed refine always keeps the prior solution")
-    config = ControllerConfig(**controller)
+    config = controller_from_snapshot(manifest["config"])
     prompts = PromptSet(**manifest["config"].get("prompts", {}))
     problems = {p["id"]: Problem(p["id"], p["statement"],
                                  None if p["answer"] is None else normalize_answer(p["answer"]))

@@ -1,9 +1,9 @@
 """Two-state correctness chain and the verification-dependent absorbing chain.
 
-Closed forms (stationary distribution, mixing rate, absorption probabilities)
-are computed directly from their formulas; Monte Carlo counterparts are
-provided as independent oracles. All simulators are deterministic given a
-seed and safe to evaluate in parallel.
+Closed forms (stationary distribution, mixing rate, distribution after n
+steps, absorption probabilities) are computed directly from their formulas;
+step-level samplers realize the same processes. All simulators are
+deterministic given a seed and safe to evaluate in parallel.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import inf
-
-import numpy as np
 
 CORRECT = "C"
 INCORRECT = "I"
@@ -47,15 +45,6 @@ class TransitionParams:
         _check_prob("p_ic", self.p_ic)
         _check_prob("p_ci", self.p_ci)
 
-    def matrix(self) -> np.ndarray:
-        """2x2 row-stochastic matrix, rows/columns ordered (Correct, Incorrect)."""
-        return np.array(
-            [
-                [1.0 - self.p_ci, self.p_ci],
-                [self.p_ic, 1.0 - self.p_ic],
-            ]
-        )
-
 
 @dataclass(frozen=True)
 class StateDistribution:
@@ -69,9 +58,6 @@ class StateDistribution:
         _check_prob("pi_i", self.pi_i)
         if abs(self.pi_c + self.pi_i - 1.0) > 1e-12:
             raise ValueError(f"masses must sum to 1, got {self.pi_c + self.pi_i}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.pi_c, self.pi_i])
 
 
 @dataclass(frozen=True)
@@ -159,12 +145,17 @@ def convergence_rate(params: TransitionParams) -> float:
 def evolve_distribution(
     params: TransitionParams, initial: StateDistribution, n: int
 ) -> StateDistribution:
-    """Push a distribution forward n steps: initial . P^n."""
+    """Push a distribution forward n steps: initial . P^n, in closed form
+    pi_c + (c_0 - pi_c) * lambda^n with lambda = 1 - p_ic - p_ci. With
+    p_ic + p_ci = 0, P is the identity and the start is returned."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    vec = initial.as_array() @ np.linalg.matrix_power(params.matrix(), n)
-    total = vec.sum()
-    return StateDistribution(float(vec[0] / total), float(vec[1] / total))
+    s = params.p_ic + params.p_ci
+    if n == 0 or s == 0.0:
+        return initial
+    pi_c = params.p_ic / s
+    c = pi_c + (initial.pi_c - pi_c) * (1.0 - s) ** n
+    return StateDistribution(c, 1.0 - c)
 
 
 def simulate_chain(
@@ -186,84 +177,29 @@ def simulate_chain(
     return ChainTrajectory(states=states, seed=seed)
 
 
-def chain_correct_frequency(
-    params: TransitionParams,
-    initial_state: str,
-    n_steps: int,
-    n_chains: int,
-    seed: int,
-) -> float:
-    """Fraction of n_chains independent paths that sit in Correct after n_steps.
-
-    Vectorized Monte Carlo oracle for evolve_distribution / the stationary law.
-    """
-    rng = np.random.default_rng(seed)
-    correct = np.full(n_chains, initial_state == CORRECT)
-    for _ in range(n_steps):
-        u = rng.random(n_chains)
-        flip = u < np.where(correct, params.p_ci, params.p_ic)
-        correct ^= flip
-    return float(correct.mean())
-
-
 # ---------------------------------------------------------------------------
 # Verification-dependent absorbing chain
 # ---------------------------------------------------------------------------
 
 
-def absorbing_transition_matrix(acp: AbsorbingChainParams) -> np.ndarray:
-    """4x4 row-stochastic matrix over S1..S4 for the chain without a reject limit.
+def absorption_probabilities(acp: AbsorbingChainParams, start: str) -> AbsorptionResult:
+    """Exit split (I - Q)^-1 R from transient start state "S1" or "S2", for
+    the 4-state chain without a reject limit.
 
-    S1/S2: Correct/Incorrect and ongoing; S3/S4: Correct/Incorrect terminated.
+    S1/S2 are Correct/Incorrect and ongoing. A round from S1 accepts with
+    b = beta^accept_limit, from S2 with a = alpha^accept_limit; otherwise it
+    refines with y_c0 / y_i0. The entries of (I - Q)^-1 R are written out.
     """
+    if start not in ("S1", "S2"):
+        raise ValueError("start must be 'S1' or 'S2'")
+    b = acp.beta**acp.accept_limit
+    a = acp.alpha**acp.accept_limit
+    det = a - (1 - b) * a * acp.y_c0 + (1 - a) * b * acp.y_i0
+    if det <= 1e-15:
+        raise SingularChain(f"det(I - Q) = {det}; no absorption possible")
     if acp.reject_limit is not None:
         raise RejectingConditionPresent(
-            "the 4-state matrix models only the chain without a reject limit"
-        )
-    b = acp.beta**acp.accept_limit
-    a = acp.alpha**acp.accept_limit
-    return np.array(
-        [
-            [(1 - b) * acp.y_c0, (1 - b) * (1 - acp.y_c0), b, 0.0],
-            [(1 - a) * acp.y_i0, (1 - a) * (1 - acp.y_i0), 0.0, a],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-    )
-
-
-def _iq_determinant(acp: AbsorbingChainParams) -> float:
-    b = acp.beta**acp.accept_limit
-    a = acp.alpha**acp.accept_limit
-    return a - (1 - b) * a * acp.y_c0 + (1 - a) * b * acp.y_i0
-
-
-def absorption_probabilities(acp: AbsorbingChainParams, start: str) -> AbsorptionResult:
-    """Exit split (I - Q)^-1 R from transient start state "S1" or "S2"."""
-    if start not in ("S1", "S2"):
-        raise ValueError("start must be 'S1' or 'S2'")
-    det = _iq_determinant(acp)
-    if det <= 1e-15:
-        raise SingularChain(f"det(I - Q) = {det}; no absorption possible")
-    p = absorbing_transition_matrix(acp)
-    q, r = p[:2, :2], p[:2, 2:]
-    absorb = np.linalg.solve(np.eye(2) - q, r)
-    row = absorb[0 if start == "S1" else 1]
-    return AbsorptionResult(float(row[0]), float(row[1]), start)
-
-
-def absorption_closed_form(acp: AbsorbingChainParams, start: str) -> AbsorptionResult:
-    """Exit split via the explicit (I - Q)^-1 R entries, no linear solver.
-
-    Exact in exact arithmetic; used to cross-check absorption_probabilities.
-    """
-    if start not in ("S1", "S2"):
-        raise ValueError("start must be 'S1' or 'S2'")
-    det = _iq_determinant(acp)
-    if det <= 1e-15:
-        raise SingularChain(f"det(I - Q) = {det}; no absorption possible")
-    b = acp.beta**acp.accept_limit
-    a = acp.alpha**acp.accept_limit
+            "the 4-state chain models only the chain without a reject limit")
     if start == "S1":
         p_correct = (1 - (1 - a) * (1 - acp.y_i0)) * b / det
         p_incorrect = (1 - b) * a * (1 - acp.y_c0) / det
@@ -271,18 +207,6 @@ def absorption_closed_form(acp: AbsorbingChainParams, start: str) -> AbsorptionR
         p_correct = (1 - a) * b * acp.y_i0 / det
         p_incorrect = (1 - (1 - b) * acp.y_c0) * a / det
     return AbsorptionResult(p_correct, p_incorrect, start)
-
-
-def check_overconfidence_bound(acp: AbsorbingChainParams) -> tuple[bool, float]:
-    """Evaluate alpha^accept_limit >= y_i0; when it holds, the correct-exit
-    probability from an ongoing Incorrect solution cannot exceed 0.5."""
-    holds = acp.alpha**acp.accept_limit >= acp.y_i0
-    p = absorption_probabilities(acp, "S2").p_correct_exit
-    if holds and p > 0.5 + 1e-9:
-        raise AssertionError(
-            f"bound violated: alpha^a >= y_i0 but p_correct_exit = {p}"
-        )
-    return holds, p
 
 
 def simulate_verdep_chain(
@@ -334,48 +258,6 @@ def simulate_verdep_chain(
     exit_kind = ("Accepted" if passes >= accept_limit else
                  "Rejected" if fails >= reject_limit else "Budget")
     return exit_kind, correct, ChainTrajectory(states=states, seed=seed, verdicts=verdicts)
-
-
-def verdep_exit_frequencies(
-    acp: AbsorbingChainParams,
-    start: str,
-    n_samples: int,
-    seed: int,
-    max_rounds: int = 1_000_000,
-) -> tuple[float, float]:
-    """Monte Carlo exit split for the chain without a reject limit.
-
-    Simulates the 4-state process forward, one accept-or-refine round per
-    iteration (a run of consecutive passes never changes the solution, so the
-    exit distribution is identical to the step-level process). Vectorized so
-    that 10^6 samples are practical. Returns (correct-exit, incorrect-exit)
-    frequencies; raises SingularChain if any path fails to absorb in
-    max_rounds rounds.
-    """
-    if acp.reject_limit is not None:
-        raise RejectingConditionPresent("exit frequencies need reject_limit absent")
-    if start not in ("S1", "S2"):
-        raise ValueError("start must be 'S1' or 'S2'")
-    rng = np.random.default_rng(seed)
-    b = acp.beta**acp.accept_limit
-    a = acp.alpha**acp.accept_limit
-    correct = np.full(n_samples, start == "S1")
-    exited_correct = 0
-    exited_incorrect = 0
-    rounds = 0
-    while correct.shape[0] > 0:
-        if rounds >= max_rounds:
-            raise SingularChain(
-                f"{correct.shape[0]} of {n_samples} paths unabsorbed after {max_rounds} rounds"
-            )
-        rounds += 1
-        accept = rng.random(correct.shape[0]) < np.where(correct, b, a)
-        exited_correct += int(np.count_nonzero(accept & correct))
-        exited_incorrect += int(np.count_nonzero(accept & ~correct))
-        correct = correct[~accept]
-        u = rng.random(correct.shape[0])
-        correct = u < np.where(correct, acp.y_c0, acp.y_i0)
-    return exited_correct / n_samples, exited_incorrect / n_samples
 
 
 def verdep_exit_counts(

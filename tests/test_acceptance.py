@@ -40,17 +40,16 @@ from selfevolve.markov import (
     AbsorbingChainParams,
     StateDistribution,
     TransitionParams,
-    absorption_closed_form,
-    chain_correct_frequency,
+    absorption_probabilities,
     convergence_rate,
     evolve_distribution,
     stationary_distribution,
-    verdep_exit_frequencies,
 )
 from selfevolve.reports import write_run_reports
 from selfevolve.store import RunStore, run_dir
 
 from fixtures import CASE_BLOCKS
+from oracles import chain_correct_frequency, verdep_exit_frequencies
 from stub_server import StubChatServer, completion
 
 PROMPTS = PromptSet()
@@ -118,13 +117,13 @@ def test_absorption_split_vs_simulation(capsys):
             alpha=rng.uniform(0.6, 0.95), beta=rng.uniform(0.6, 0.95),
             y_c0=rng.uniform(0.05, 0.95), y_i0=rng.uniform(0.05, 0.95))
         start = rng.choice(["S1", "S2"])
-        exact = absorption_closed_form(acp, start)
+        exact = absorption_probabilities(acp, start)
         sim_c, sim_i = verdep_exit_frequencies(acp, start, n_samples=1_000_000,
                                                seed=rng.randrange(2**31))
         worst = max(worst, abs(sim_c - exact.p_correct_exit),
                     abs(sim_i - exact.p_incorrect_exit))
         checked += 1
-    symmetric = absorption_closed_form(
+    symmetric = absorption_probabilities(
         AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5), "S2")
     exact_value = symmetric.p_correct_exit == 31 / 64
     report(capsys, "absorption probabilities match simulation over 100 random chains",
@@ -144,7 +143,7 @@ def test_overconfident_verifier_bound(capsys):
             y_c0=rng.uniform(0.05, 0.95), y_i0=rng.uniform(0.0, a) * 0.999))
     violations = sum(
         1 for acp in draws
-        if absorption_closed_form(acp, "S2").p_correct_exit > 0.5 + 1e-12)
+        if absorption_probabilities(acp, "S2").p_correct_exit > 0.5 + 1e-12)
     # Monte Carlo spot check on a subsample: 4 standard errors of headroom
     n_mc = 20_000
     mc_violations = 0

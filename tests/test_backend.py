@@ -1,9 +1,12 @@
 import collections
 import random
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
+from selfevolve import backend as backend_module
 from selfevolve.answers import AnswerKey
 from selfevolve.backend import (
     BackendConfig,
@@ -66,9 +69,9 @@ def test_request_validation():
     with pytest.raises(ValueError):
         ReasoningRequest(context=())
     with pytest.raises(ValueError):
-        BackendConfig(endpoint="e", model="m", max_response_tokens=0)
+        BackendConfig(endpoint="http://e/v1", model="m", max_response_tokens=0)
     with pytest.raises(ValueError):
-        BackendConfig(endpoint="e", model="m", temperature=-1)
+        BackendConfig(endpoint="http://e/v1", model="m", temperature=-1)
 
 
 # --- mock backend ------------------------------------------------------------
@@ -315,33 +318,9 @@ def test_inflight_cap_respected():
 
 
 def test_http_inflight_cap():
-    # with a cap of 2, the semaphore never admits more than 2 concurrent posts
-    import time
-
-    active = []
-    lock = threading.Lock()
-    max_seen = [0]
-
-    class SlowStub(StubChatServer):
-        pass
-
-    with StubChatServer([completion("x")] * 12) as server:
+    # with a cap of 2, the server never handles more than 2 requests at once
+    with StubChatServer([dict(completion("x"), delay_s=0.02)] * 12) as server:
         backend = HttpBackend(_http_config(server.endpoint, max_in_flight=2))
-
-        orig_post = backend._session.post
-
-        def tracking_post(*args, **kwargs):
-            with lock:
-                active.append(1)
-                max_seen[0] = max(max_seen[0], len(active))
-            try:
-                time.sleep(0.01)
-                return orig_post(*args, **kwargs)
-            finally:
-                with lock:
-                    active.pop()
-
-        backend._session.post = tracking_post
         threads = [
             threading.Thread(target=lambda i=i: backend.reasoning_call(
                 ReasoningRequest(context=("q",), request_seed=i)))
@@ -350,5 +329,42 @@ def test_http_inflight_cap():
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-    assert max_seen[0] <= 2
+            t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert len(server.requests) == 12
+    assert server.max_active == 2
+
+
+def test_http_resends_on_a_dropped_keepalive_connection(monkeypatch):
+    # the server closes the idle connection between two calls; the second
+    # call sends again on a fresh connection within its first attempt, so no
+    # backoff is slept
+    sleeps = []
+    monkeypatch.setattr(backend_module, "time",
+                        SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
+    script = [completion("one \\boxed{1}"), completion("two \\boxed{2}")]
+    with StubChatServer(script, idle_timeout_s=0.05) as server:
+        backend = HttpBackend(_http_config(server.endpoint))
+        first = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+        deadline = time.monotonic() + 5.0
+        while server.closed < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert server.closed == 1
+        second = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=2))
+    assert "\\boxed{1}" in first.summary_text
+    assert "\\boxed{2}" in second.summary_text
+    assert len(server.requests) == 2
+    assert server.connections == 2
+    assert sleeps == []
+
+
+def test_https_endpoint_on_plain_http_server():
+    # the TLS handshake fails on every attempt: an unavailable backend. The
+    # stub reads the handshake as a request line, and unless it holds a
+    # newline only the idle timeout ends that read
+    with StubChatServer([], idle_timeout_s=0.05) as server:
+        endpoint = server.endpoint.replace("http://", "https://")
+        backend = HttpBackend(_http_config(endpoint, max_attempts=2))
+        with pytest.raises(BackendUnavailable):
+            backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert server.requests == []

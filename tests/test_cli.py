@@ -224,6 +224,41 @@ def test_cli_resume_uses_run_settings(workspace, monkeypatch):
     assert committed_view(RunStore(runs).load_run(run_id)[1]) == want
 
 
+def carry_forward_false(config):
+    config["controller"]["carry_forward_on_failure"] = False
+
+
+def unknown_controller_key(config):
+    config["controller"]["bogus"] = 1
+
+
+def backend_max_attempts_zero(config):
+    del config["mock"]
+    config["backend"] = {"endpoint": "http://127.0.0.1:9/v1", "model": "m",
+                         "max_attempts": 0}
+
+
+@pytest.mark.parametrize("edit", [carry_forward_false, unknown_controller_key,
+                                  backend_max_attempts_zero],
+                         ids=lambda edit: edit.__name__)
+def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
+    # a manifest section that cannot build its config is an invalid config
+    # (exit 2), and the resume appends nothing to the log
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    path = run_dir(runs, run_id) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["config"])
+    path.write_text(json.dumps(manifest))
+    log = run_dir(runs, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    result = invoke("resume", run_id, "--runs-dir", runs)
+    assert result.exit_code == 2, result.output
+    assert "invalid config" in result.output
+    assert log.read_bytes() == full[:len(full) // 2]
+
+
 def test_cli_resume_noop_on_finished_run(workspace):
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"

@@ -14,17 +14,23 @@ from selfevolve.markov import (
     SingularChain,
     StateDistribution,
     TransitionParams,
-    absorbing_transition_matrix,
-    absorption_closed_form,
     absorption_probabilities,
-    chain_correct_frequency,
-    check_overconfidence_bound,
     convergence_rate,
     evolve_distribution,
     simulate_chain,
     simulate_verdep_chain,
     stationary_distribution,
     verdep_exit_counts,
+)
+
+from oracles import (
+    absorbing_transition_matrix,
+    absorption_by_solve,
+    as_array,
+    chain_correct_frequency,
+    check_overconfidence_bound,
+    evolve_by_matrix_power,
+    transition_matrix,
     verdep_exit_frequencies,
 )
 
@@ -58,8 +64,8 @@ def test_stationary_fixed_point_identity():
     rng = random.Random(11)
     for _ in range(200):
         params = TransitionParams(p_ic=rng.uniform(1e-6, 1), p_ci=rng.uniform(1e-6, 1))
-        pi = stationary_distribution(params).as_array()
-        assert np.allclose(pi @ params.matrix(), pi, atol=1e-12)
+        pi = as_array(stationary_distribution(params))
+        assert np.allclose(pi @ transition_matrix(params), pi, atol=1e-12)
 
 
 # --- convergence rate --------------------------------------------------------
@@ -74,7 +80,7 @@ def test_convergence_rate_is_second_eigenvalue():
     rng = random.Random(5)
     for _ in range(50):
         params = TransitionParams(p_ic=rng.random(), p_ci=rng.random())
-        eigs = sorted(abs(np.linalg.eigvals(params.matrix())), reverse=True)
+        eigs = sorted(abs(np.linalg.eigvals(transition_matrix(params))), reverse=True)
         assert convergence_rate(params) == pytest.approx(eigs[1], abs=1e-12)
 
 
@@ -115,6 +121,47 @@ def test_mixing_bound_grid():
         for n in range(1, 40):
             tv = abs(evolve_distribution(params, initial, n).pi_c - pi.pi_c)
             assert tv <= rate**n * tv0 * (1 + 1e-9) + 1e-13
+
+
+# --- closed forms against the numpy references -------------------------------
+
+@pytest.mark.parametrize("p_ic,p_ci", [
+    (0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0),
+    (0.3, 0.1), (0.05, 0.02), (0.7, 0.6), (0.9, 0.05), (0.0, 0.4), (0.999, 0.999),
+])
+@pytest.mark.parametrize("n", [0, 1, 40, 10_000])
+def test_evolve_matches_matrix_power(p_ic, p_ci, n):
+    params = TransitionParams(p_ic, p_ci)
+    for c0 in (0.0, 0.2, 0.5, 0.9, 1.0):
+        start = StateDistribution(c0, 1.0 - c0)
+        got = evolve_distribution(params, start, n)
+        want = evolve_by_matrix_power(params, start, n)
+        assert abs(got.pi_c - want.pi_c) <= 1e-12
+        assert abs(got.pi_i - want.pi_i) <= 1e-12
+
+
+def test_absorption_matches_linear_solve():
+    # the solve's rounding error grows like machine epsilon / det(I - Q), so
+    # the tolerance scales with it; it is 1e-13 for a well-conditioned chain
+    rng = random.Random(41)
+    for _ in range(1000):
+        acp = AbsorbingChainParams(
+            alpha=rng.uniform(0.05, 1), beta=rng.uniform(0.05, 1),
+            y_c0=rng.random(), y_i0=rng.random(), accept_limit=rng.randint(1, 10))
+        q = absorbing_transition_matrix(acp)[:2, :2]
+        tol = 1e-13 / np.linalg.det(np.eye(2) - q)
+        for start in ("S1", "S2"):
+            got = absorption_probabilities(acp, start)
+            want = absorption_by_solve(acp, start)
+            assert abs(got.p_correct_exit - want.p_correct_exit) <= tol
+            assert abs(got.p_incorrect_exit - want.p_incorrect_exit) <= tol
+
+
+def test_absorption_rejects_reject_limit():
+    acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5,
+                               reject_limit=10)
+    with pytest.raises(RejectingConditionPresent):
+        absorption_probabilities(acp, "S2")
 
 
 # --- trajectory simulation ---------------------------------------------------
@@ -190,9 +237,9 @@ def test_absorbing_matrix_rejects_reject_limit():
 def test_absorption_symmetric_worked_value():
     # hand evaluation: alpha=beta=0.5, y=0.5, accept after 5 -> 31/64 from S2
     acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5)
-    exact = absorption_closed_form(acp, "S2")
+    exact = absorption_probabilities(acp, "S2")
     assert exact.p_correct_exit == 31 / 64
-    solved = absorption_probabilities(acp, "S2")
+    solved = absorption_by_solve(acp, "S2")
     assert solved.p_correct_exit == pytest.approx(31 / 64, abs=1e-12)
 
 
@@ -209,9 +256,9 @@ def test_absorption_split_sums_to_one():
             alpha=rng.uniform(0.05, 1), beta=rng.uniform(0.05, 1),
             y_c0=rng.random(), y_i0=rng.random())
         for start in ("S1", "S2"):
-            r = absorption_probabilities(acp, start)
+            r = absorption_by_solve(acp, start)
             assert r.p_correct_exit + r.p_incorrect_exit == pytest.approx(1.0, abs=1e-9)
-            c = absorption_closed_form(acp, start)
+            c = absorption_probabilities(acp, start)
             assert c.p_correct_exit == pytest.approx(r.p_correct_exit, abs=1e-10)
 
 
@@ -312,7 +359,7 @@ def test_verdep_step_level_matches_super_step():
             acp, seed=1000 + i, max_iterations=5000, initial_state=INCORRECT)
         assert exit_kind == "Accepted"
         accepted_correct += int(correct)
-    closed = absorption_closed_form(acp, "S2").p_correct_exit
+    closed = absorption_probabilities(acp, "S2").p_correct_exit
     se = (closed * (1 - closed) / n) ** 0.5
     assert abs(accepted_correct / n - closed) <= 4 * se
 
