@@ -1,183 +1,70 @@
-"""Majority voting and per-iteration accuracy metrics over completed trials.
+"""Per-iteration accuracy metrics of one problem's trials, read off its answer
+table.
 
-Avg@K is the fraction of trials whose answer at an iteration matches the
-ground truth (missing answers count as incorrect). Cons@K is the correctness
-of the majority vote, optionally pooling a trailing window of iterations
-across all trials. All functions are pure over committed trial data.
+The table holds each trial's answer (its canonical string, or None) at every
+iteration that all the problem's trials have reached; a trial that has exited
+keeps its last answer. Avg@K is the fraction of a column that matches the
+ground truth (a missing answer counts as incorrect). Cons@K is the
+correctness of the column's majority vote; its windowed form pools the
+trailing WINDOW columns of every trial. All functions are pure over committed
+trial data.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .answers import AnswerKey
 from .engine import ACCEPTED_EXIT, REJECTED_EXIT, VERDEP, TrialState
 
-
-class AllMissing(ValueError):
-    """A vote over a pool with no expressed answers."""
-
-
-class IterationOutOfRange(IndexError):
-    pass
+WINDOW = 10
+EXITED = (ACCEPTED_EXIT, REJECTED_EXIT)
 
 
-class WrongController(ValueError):
-    pass
+def majority_vote(answers: list[str | None]) -> str | None:
+    """The most frequent answer, ties broken by first appearance; None when
+    no answer is present."""
+    counts = Counter(a for a in answers if a is not None)
+    return counts.most_common(1)[0][0] if counts else None
 
 
-@dataclass
-class VoteResult:
-    winner: AnswerKey | None
-    counts: list[tuple[str | None, int]]
-    tied: bool
-
-
-def majority_vote(answers: list[AnswerKey | None]) -> VoteResult:
-    """Plurality winner; ties break by earliest first appearance and are flagged.
-
-    Missing answers are excluded from the contest but reported under a None
-    bucket in counts.
-    """
-    if not answers:
-        raise ValueError("answers must be non-empty")
-    present = [a.canonical for a in answers if a is not None]
-    missing = len(answers) - len(present)
-    counter = Counter(present)
-    counts: list[tuple[str | None, int]] = sorted(
-        counter.items(), key=lambda kv: -kv[1]
-    )
-    if missing:
-        counts.append((None, missing))
-    if not present:
-        raise AllMissing("no answer present in any trial")
-    top = max(counter.values())
-    leaders = {a for a, c in counter.items() if c == top}
-    for a in present:
-        if a in leaders:
-            winner = a
-            break
-    return VoteResult(winner=AnswerKey(winner), counts=counts, tied=len(leaders) > 1)
-
-
-def _answer_at(trial: TrialState, n: int) -> AnswerKey | None:
-    """Answer at iteration n; trials that exited early keep their final answer."""
-    if n < len(trial.records):
-        raw = trial.records[n].answer
-    elif trial.status in (ACCEPTED_EXIT, REJECTED_EXIT) and trial.records:
-        raw = trial.records[-1].answer
-    else:
-        raise IterationOutOfRange(
-            f"trial {trial.trial_id} has no record at iteration {n}"
-        )
-    return AnswerKey(raw) if raw is not None else None
-
-
-def avg_at_k(trials: list[TrialState], iteration: int, truth: AnswerKey) -> float:
-    """Fraction of trials answering correctly at the given iteration."""
-    if not trials:
-        raise ValueError("trials must be non-empty")
-    hits = sum(1 for t in trials if _answer_at(t, iteration) == truth)
-    return hits / len(trials)
-
-
-def cons_at_k(trials: list[TrialState], iteration: int, truth: AnswerKey,
-              window: int = 1) -> int:
-    """Majority-vote correctness pooling iterations (n-window+1)..n across trials."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if iteration < window - 1:
-        raise IterationOutOfRange(f"iteration {iteration} < window-1 ({window - 1})")
-    pool: list[AnswerKey | None] = []
+def answer_table(trials: list[TrialState]) -> list[list[str | None]]:
+    """Each trial's answers at the iterations every trial has reached, in one
+    pass over the records. An exited trial has reached them all."""
+    horizon = min((len(t.records) for t in trials if t.status not in EXITED),
+                  default=max(len(t.records) for t in trials))
+    table = []
     for t in trials:
-        for n in range(iteration - window + 1, iteration + 1):
-            pool.append(_answer_at(t, n))
-    try:
-        vote = majority_vote(pool)
-    except AllMissing:
-        return 0
-    return int(vote.winner == truth)
+        answers = [r.answer for r in t.records[:horizon]]
+        table.append(answers + answers[-1:] * (horizon - len(answers)))
+    return table
 
 
-def pooled_table_metrics(trials: list[TrialState], truth: AnswerKey,
-                         final_window: int = 10) -> tuple[float, int]:
-    """(pooled accuracy, pooled majority-vote correctness) over the last
-    final_window iterations of every trial."""
-    horizon = min(len(t.records) for t in trials) - 1
-    if horizon + 1 < final_window:
-        raise IterationOutOfRange(
-            f"trials have only {horizon + 1} records, need {final_window}"
-        )
-    pool: list[AnswerKey | None] = []
-    for t in trials:
-        for n in range(horizon - final_window + 1, horizon + 1):
-            pool.append(_answer_at(t, n))
-    hits = sum(1 for a in pool if a == truth)
-    avg_pooled = hits / len(pool)
-    try:
-        vote = majority_vote(pool)
-        cons_pooled = int(vote.winner == truth)
-    except AllMissing:
-        cons_pooled = 0
-    return avg_pooled, cons_pooled
-
-
-def exit_ratio_series(trials: list[TrialState]) -> list[dict]:
-    """Cumulative accepted/rejected/running fractions per iteration."""
-    if any(t.controller != VERDEP for t in trials):
-        raise WrongController("exit ratios require verification-dependent trials")
-    max_len = max(len(t.records) for t in trials)
-    series = []
+def metric_rows(trials: list[TrialState], truth: AnswerKey) -> list[dict]:
+    """One row per column of the answer table: avg_at_k and cons_at_k; from
+    column WINDOW-1 on, avg_windowed and cons_windowed over the trailing
+    WINDOW columns; and, when every trial is VERDEP, the fractions of trials
+    accepted, rejected and still running at that iteration."""
+    table = answer_table(trials)
+    truth = truth.canonical
     k = len(trials)
-    for n in range(max_len):
-        accepted = rejected = 0
-        for t in trials:
-            exited_at = len(t.records) - 1
-            if t.status == ACCEPTED_EXIT and exited_at <= n:
-                accepted += 1
-            elif t.status == REJECTED_EXIT and exited_at <= n:
-                rejected += 1
-        series.append({
-            "iteration": n,
-            "accepted_ratio": accepted / k,
-            "rejected_ratio": rejected / k,
-            "running_ratio": (k - accepted - rejected) / k,
-        })
-    return series
-
-
-def metric_rows(trials: list[TrialState], truth: AnswerKey,
-                window: int = 10) -> list[dict]:
-    """Per-iteration metric table: the CSV row schema used by the CLI."""
-    max_len = max(len(t.records) for t in trials)
-    verdep = all(t.controller == VERDEP for t in trials)
-    exits = exit_ratio_series(trials) if verdep else None
+    exits = ([(t.status, len(t.records) - 1) for t in trials if t.status in EXITED]
+             if all(t.controller == VERDEP for t in trials) else None)
+    hits: list[int] = []
     rows = []
-    for n in range(max_len):
-        row = {
-            "iteration": n,
-            "avg_at_k": avg_at_k(trials, n, truth),
-            "cons_at_k": cons_at_k(trials, n, truth, window=1),
-            "cons_windowed": (
-                cons_at_k(trials, n, truth, window=window) if n >= window - 1 else ""
-            ),
-            "accepted_ratio": exits[n]["accepted_ratio"] if exits else "",
-            "rejected_ratio": exits[n]["rejected_ratio"] if exits else "",
-        }
+    for n in range(len(table[0])):
+        column = [answers[n] for answers in table]
+        hits.append(column.count(truth))
+        row = {"iteration": n, "avg_at_k": hits[n] / k,
+               "cons_at_k": int(majority_vote(column) == truth)}
+        if n >= WINDOW - 1:
+            pool = [a for answers in table for a in answers[n - WINDOW + 1:n + 1]]
+            row["avg_windowed"] = sum(hits[-WINDOW:]) / len(pool)
+            row["cons_windowed"] = int(majority_vote(pool) == truth)
+        if exits is not None:
+            accepted = sum(status == ACCEPTED_EXIT and at <= n for status, at in exits)
+            rejected = sum(status == REJECTED_EXIT and at <= n for status, at in exits)
+            row.update(accepted_ratio=accepted / k, rejected_ratio=rejected / k,
+                       running_ratio=(k - accepted - rejected) / k)
         rows.append(row)
     return rows
-
-
-CSV_COLUMNS = ["iteration", "avg_at_k", "cons_at_k", "cons_windowed",
-               "accepted_ratio", "rejected_ratio"]
-
-
-def write_metrics_csv(path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})

@@ -138,7 +138,8 @@ class HttpBackend:
     """Chat-completion client with retry/backoff, an in-flight cap, and an rps limit.
 
     Safe for concurrent use; the limiter state is shared and synchronized.
-    Each thread keeps one keep-alive connection to the endpoint.
+    Each thread keeps one keep-alive connection to the endpoint, and close()
+    closes them all.
     """
 
     def __init__(self, config: BackendConfig):
@@ -151,6 +152,7 @@ class HttpBackend:
         self._port = url.port or self._connection_class.default_port
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
         self._inflight = threading.Semaphore(config.max_in_flight)
         self._rate_lock = threading.Lock()
         self._next_allowed = 0.0
@@ -184,6 +186,7 @@ class HttpBackend:
         if conn is None:
             conn = self._local.conn = self._connection_class(
                 self._host, self._port, timeout=self.config.timeout_s)
+            self._connections.append(conn)
         while True:
             reused = conn.sock is not None
             try:
@@ -194,6 +197,11 @@ class HttpBackend:
                 conn.close()
                 if not (reused and isinstance(e, ConnectionError)):
                     raise
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        for conn in self._connections:
+            conn.close()
 
     def reasoning_call(self, request: ReasoningRequest) -> ReasoningResponse:
         body = {

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from pathlib import Path
+from contextlib import closing, nullcontext
 
 import click
 
 from . import markov
+from .backend import HttpBackend
 from .config import (ConfigDrift, ConfigInvalid, RunConfig, build_backend_from_snapshot,
                      config_hash)
 from .engine import resume_experiment, run_experiment
@@ -26,6 +27,11 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _closing(backend):
+    """A context that closes backend's connections on exit, if it has any."""
+    return closing(backend) if isinstance(backend, HttpBackend) else nullcontext()
+
+
 @click.group()
 def main():
     """Self-evolving reasoning experiment engine."""
@@ -41,11 +47,12 @@ def cmd_run(config_path):
         backend = cfg.build_backend()
         snapshot = cfg.snapshot()
         store = RunStore(cfg.output_dir / "runs")
-        run_id = run_experiment(
-            problems, cfg.k_trials, cfg.controller, backend, cfg.prompts,
-            cfg.run_seed, store, parallelism=cfg.parallelism,
-            config_snapshot=snapshot, config_hash=config_hash(snapshot),
-            store_sync=cfg.store_sync)
+        with _closing(backend):
+            run_id = run_experiment(
+                problems, cfg.k_trials, cfg.controller, backend, cfg.prompts,
+                cfg.run_seed, store, parallelism=cfg.parallelism,
+                config_snapshot=snapshot, config_hash=config_hash(snapshot),
+                store_sync=cfg.store_sync)
     except ConfigInvalid as e:
         _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except StoreUnavailable as e:
@@ -70,7 +77,8 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
             if config_hash(cfg.snapshot()) != manifest["config_hash"]:
                 raise ConfigDrift("live config differs from the manifest snapshot")
         backend = build_backend_from_snapshot(manifest["config"])
-        resume_experiment(store, run_id, backend)
+        with _closing(backend):
+            resume_experiment(store, run_id, backend)
     except ConfigInvalid as e:
         _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except ConfigDrift as e:
@@ -88,12 +96,12 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
 @click.argument("run_id")
 @click.option("--runs-dir", type=click.Path(), default="out/runs", show_default=True)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--window", type=int, default=10, show_default=True)
-def cmd_analyze(run_id, runs_dir, out_dir, window):
-    """Recompute metric tables and charts from a run's event log."""
+def cmd_analyze(run_id, runs_dir, out_dir):
+    """Recompute metric tables and charts from a run's event log, up to the
+    iteration each problem's trials have all reached."""
     try:
         store = RunStore(runs_dir)
-        written = write_run_reports(store, run_id, out_dir, window=window)
+        written = write_run_reports(store, run_id, out_dir)
     except CorruptLog as e:
         _fail(EXIT_CORRUPT_LOG, str(e))
     except StoreUnavailable as e:
@@ -129,7 +137,7 @@ def sim_stationary(p_ic, p_ci):
 @_prob_option("--p-ic")
 @_prob_option("--p-ci")
 @click.option("--start", type=click.Choice(["C", "I"]), default="I", show_default=True)
-@click.option("--steps", type=int, default=50, show_default=True)
+@click.option("--steps", type=click.IntRange(min=0), default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def sim_trajectory(p_ic, p_ci, start, steps, seed):
     """One seeded sample path of the two-state chain."""
@@ -143,7 +151,7 @@ def sim_trajectory(p_ic, p_ci, start, steps, seed):
 @_prob_option("--beta")
 @_prob_option("--y-c0")
 @_prob_option("--y-i0")
-@click.option("--accept-limit", type=int, default=5, show_default=True)
+@click.option("--accept-limit", type=click.IntRange(min=1), default=5, show_default=True)
 @click.option("--start", type=click.Choice(["S1", "S2"]), default="S2", show_default=True)
 def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
     """Closed-form absorption probabilities of the simplified 4-state chain."""
@@ -162,11 +170,11 @@ def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
 @_prob_option("--beta")
 @_prob_option("--y-c0")
 @_prob_option("--y-i0")
-@click.option("--accept-limit", type=int, default=5, show_default=True)
-@click.option("--reject-limit", type=int, default=None)
+@click.option("--accept-limit", type=click.IntRange(min=1), default=5, show_default=True)
+@click.option("--reject-limit", type=click.IntRange(min=1), default=None)
 @click.option("--start", type=click.Choice(["C", "I"]), default="I", show_default=True)
-@click.option("--samples", type=int, default=10000, show_default=True)
-@click.option("--max-iterations", type=int, default=10000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
+@click.option("--max-iterations", type=click.IntRange(min=1), default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="Also write exit fractions as CSV.")

@@ -1,89 +1,74 @@
 """Post-hoc analysis: recompute all metrics from a run's event log and write
 CSV tables and SVG charts. Everything here is a pure function of the log, so
-analyzing twice produces byte-identical artifacts."""
+analyzing twice produces byte-identical artifacts. A run still in progress is
+reported up to the iteration that all of a problem's trials have reached."""
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
 
-from .aggregate import (exit_ratio_series, metric_rows, pooled_table_metrics,
-                        write_metrics_csv)
+from .aggregate import WINDOW, metric_rows
 from .answers import normalize_answer
 from .charts import write_line_chart
-from .engine import VERDEP
 from .store import RunStore
 
+METRIC_COLUMNS = ["iteration", "avg_at_k", "cons_at_k", "cons_windowed",
+                  "accepted_ratio", "rejected_ratio"]
+EXIT_COLUMNS = ["iteration", "accepted_ratio", "rejected_ratio", "running_ratio"]
+POOLED_COLUMNS = ["problem", "avg_pooled", "cons_pooled"]
 
-FINAL_WINDOW = 10
+
+def write_metrics_csv(path, rows: list[dict], columns: list[str]) -> None:
+    """The given columns of rows; a column a row lacks is left empty."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
-def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path,
-                      window: int = 10) -> list[Path]:
-    """Write per-problem metric CSVs/charts, exit ratios for VERDEP trials, and
-    the pooled summary table over the last FINAL_WINDOW iterations."""
+def _series(rows: list[dict], column: str) -> list[tuple]:
+    return [(r["iteration"], r[column]) for r in rows if column in r]
+
+
+def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path) -> list[Path]:
+    """For each problem with a committed iteration, its metric CSV and chart,
+    and its exit ratios when its trials are VERDEP; then the pooled table over
+    the last WINDOW iterations of each problem that has that many."""
     manifest, states = store.load_run(run_id)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    pooled_rows = []
+    def table(name, rows, columns):
+        write_metrics_csv(out / name, rows, columns)
+        written.append(out / name)
+
+    def chart(name, series, title):
+        write_line_chart(out / name, {k: v for k, v in series.items() if v}, title=title)
+        written.append(out / name)
+
+    pooled = []
     for problem in manifest["problems"]:
         pid = problem["id"]
-        trials = [st for tid, st in sorted(states.items()) if tid[0] == pid]
         if problem["answer"] is None:
             continue
-        truth = normalize_answer(problem["answer"])
-        rows = metric_rows(trials, truth, window=window)
-
-        csv_path = out / f"metrics_{pid}.csv"
-        write_metrics_csv(csv_path, rows)
-        written.append(csv_path)
-
-        series = {
-            "avg_at_k": [(r["iteration"], r["avg_at_k"]) for r in rows],
-            "cons_at_k": [(r["iteration"], r["cons_at_k"]) for r in rows],
-            "cons_windowed": [
-                (r["iteration"], r["cons_windowed"])
-                for r in rows if r["cons_windowed"] != ""
-            ],
-        }
-        series = {k: v for k, v in series.items() if v}
-        chart_path = out / f"metrics_{pid}.svg"
-        write_line_chart(chart_path, series, title=f"accuracy over iterations: {pid}")
-        written.append(chart_path)
-
-        if all(t.controller == VERDEP for t in trials):
-            exits = exit_ratio_series(trials)
-            exit_path = out / f"exit_ratios_{pid}.csv"
-            with open(exit_path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.DictWriter(
-                    fh, fieldnames=["iteration", "accepted_ratio",
-                                    "rejected_ratio", "running_ratio"])
-                writer.writeheader()
-                writer.writerows(exits)
-            written.append(exit_path)
-            exit_chart = out / f"exit_ratios_{pid}.svg"
-            write_line_chart(exit_chart, {
-                "accepted": [(r["iteration"], r["accepted_ratio"]) for r in exits],
-                "rejected": [(r["iteration"], r["rejected_ratio"]) for r in exits],
-                "running": [(r["iteration"], r["running_ratio"]) for r in exits],
-            }, title=f"exit ratios: {pid}")
-            written.append(exit_chart)
-
-        min_len = min(len(t.records) for t in trials)
-        if min_len >= FINAL_WINDOW:
-            avg_pooled, cons_pooled = pooled_table_metrics(
-                trials, truth, final_window=FINAL_WINDOW)
-            pooled_rows.append({"problem": pid, "avg_pooled": avg_pooled,
-                                "cons_pooled": cons_pooled})
-
-    if pooled_rows:
-        pooled_path = out / "pooled_table.csv"
-        with open(pooled_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["problem", "avg_pooled",
-                                                    "cons_pooled"])
-            writer.writeheader()
-            writer.writerows(pooled_rows)
-        written.append(pooled_path)
+        trials = [st for tid, st in sorted(states.items()) if tid[0] == pid]
+        rows = metric_rows(trials, normalize_answer(problem["answer"]))
+        if not rows:
+            continue
+        table(f"metrics_{pid}.csv", rows, METRIC_COLUMNS)
+        chart(f"metrics_{pid}.svg",
+              {c: _series(rows, c) for c in ("avg_at_k", "cons_at_k", "cons_windowed")},
+              f"accuracy over iterations: {pid}")
+        if "running_ratio" in rows[0]:
+            table(f"exit_ratios_{pid}.csv", rows, EXIT_COLUMNS)
+            chart(f"exit_ratios_{pid}.svg",
+                  {e: _series(rows, f"{e}_ratio") for e in ("accepted", "rejected", "running")},
+                  f"exit ratios: {pid}")
+        if len(rows) >= WINDOW:
+            pooled.append({"problem": pid, "avg_pooled": rows[-1]["avg_windowed"],
+                           "cons_pooled": rows[-1]["cons_windowed"]})
+    if pooled:
+        table("pooled_table.csv", pooled, POOLED_COLUMNS)
     return written

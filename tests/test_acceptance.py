@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from selfevolve.aggregate import avg_at_k, cons_at_k
+from selfevolve.aggregate import metric_rows
 from selfevolve.answers import AnswerKey, extract_answer
 from selfevolve.backend import (
     BackendConfig,
@@ -179,11 +179,12 @@ def test_fixed_horizon_convergence(capsys):
     spec = make_spec(0.3, 0.1)
     config = ControllerConfig(kind=DSER, max_iterations=40)
     trials = run_mock_trials(spec, config, k=64, run_seed=20240)
-    avg_start = avg_at_k(trials, 0, truth)
-    avg_final = avg_at_k(trials, 40, truth)
-    cons_final = cons_at_k(trials, 40, truth)
+    rows = metric_rows(trials, truth)
+    avg_start = rows[0]["avg_at_k"]
+    avg_final = rows[40]["avg_at_k"]
+    cons_final = rows[40]["cons_at_k"]
     # quick convergence: most of the lift happens in the first ten iterations
-    avg_mid = avg_at_k(trials, 10, truth)
+    avg_mid = rows[10]["avg_at_k"]
     elapsed = time.perf_counter() - t0
     ok = (avg_start == 0.0 and abs(avg_final - 0.75) <= 0.05
           and cons_final == 1 and avg_mid >= 0.6 and elapsed < 60.0)
@@ -201,8 +202,9 @@ def test_consistency_rescues_low_accuracy(capsys):
     accuracies = []
     for exp in range(100):
         trials = run_mock_trials(spec, config, k=64, run_seed=31_000 + exp)
-        successes += cons_at_k(trials, 15, truth, window=10)
-        accuracies.append(avg_at_k(trials, 15, truth))
+        final = metric_rows(trials, truth)[15]
+        successes += final["cons_windowed"]
+        accuracies.append(final["avg_at_k"])
     mean_acc = sum(accuracies) / len(accuracies)
     report(capsys, "windowed majority vote stays correct despite minority accuracy",
            successes >= 95 and mean_acc < 0.55,
@@ -221,11 +223,13 @@ def test_verification_dependent_pathology(capsys):
     false_accepts = sum(1 for t in vd_trials
                         if t.status == ACCEPTED_EXIT
                         and t.records[-1].answer != truth.canonical)
-    vd_avg = avg_at_k(vd_trials, 30, truth)
+    # every trial that exits keeps its last answer, so the last row holds
+    # the accuracy at the budget
+    vd_avg = metric_rows(vd_trials, truth)[-1]["avg_at_k"]
 
     dser_config = ControllerConfig(kind=DSER, max_iterations=30)
     dser_trials = run_mock_trials(spec, dser_config, k=64, run_seed=555)
-    dser_avg = avg_at_k(dser_trials, 30, truth)
+    dser_avg = metric_rows(dser_trials, truth)[30]["avg_at_k"]
     ok = early_exits >= 0.8 * 64 and dser_avg > vd_avg
     report(capsys, "rubber-stamp verification triggers premature exits that "
                    "fixed-horizon refinement avoids",

@@ -1,5 +1,6 @@
 import collections
 import random
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -368,3 +369,28 @@ def test_https_endpoint_on_plain_http_server():
         with pytest.raises(BackendUnavailable):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert server.requests == []
+
+
+def test_http_close_closes_every_threads_connection():
+    # more threads than cores, switching often, each open a connection at once
+    script = [dict(completion("ok"), delay_s=0.05) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with StubChatServer(script) as server:
+            backend = HttpBackend(_http_config(server.endpoint))
+            threads = [threading.Thread(target=backend.reasoning_call, args=(
+                ReasoningRequest(context=("q",), request_seed=i),)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert server.connections == 4
+            backend.close()
+            deadline = time.monotonic() + 5.0
+            while server.closed < server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.closed == server.connections
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,4 +1,10 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -369,3 +375,100 @@ def test_simulate_verdep_csv(tmp_path):
     assert lines[0] == "exit,fraction"
     fractions = [float(line.split(",")[1]) for line in lines[1:]]
     assert sum(fractions) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("args", [
+    ("trajectory", "--p-ic", "0.3", "--p-ci", "0.1", "--steps", "-1"),
+    ("absorb", "--alpha", "0.5", "--beta", "0.5", "--y-c0", "0.5", "--y-i0", "0.5",
+     "--accept-limit", "0"),
+    *[("verdep", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.6", "--y-i0", "0.6",
+       option, "0")
+      for option in ("--samples", "--max-iterations", "--accept-limit", "--reject-limit")],
+], ids=["steps", "absorb_accept_limit", "samples", "max_iterations",
+        "verdep_accept_limit", "reject_limit"])
+def test_simulate_rejects_out_of_range_integers(args):
+    result = invoke("simulate", *args)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output
+
+
+# --- unfinished runs ---------------------------------------------------------
+
+TWO_PROBLEMS = PROBLEMS + [{"id": "p1", "statement": "what is 6+1?", "answer": "7"}]
+
+
+def workspace_with(root, config_text):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "config.yaml").write_text(config_text)
+    (root / "problems.json").write_text(json.dumps(TWO_PROBLEMS))
+    return root
+
+
+def report_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_cli_analyze_unfinished_run(workspace):
+    # one worker runs p0's trials, then p1's; the cut leaves p0's second trial
+    # short and p1 with no record
+    text = (BASE_CONFIG.replace("max_iterations: 3", "max_iterations: 12")
+            .replace("  parallelism: 2", "  parallelism: 1"))
+    workspace_with(workspace, text)
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    full = report_bytes(workspace / "out" / "reports" / run_id)
+    assert "pooled_table.csv" in full
+    log = run_dir(runs, run_id) / "events.log"
+    log_bytes = log.read_bytes()
+    log.write_bytes(log_bytes[:len(log_bytes) * 3 // 8])
+
+    result = invoke("analyze", run_id, "--runs-dir", runs, "--out", workspace / "partial")
+    assert result.exit_code == 0, result.output
+    partial = report_bytes(workspace / "partial")
+    assert sorted(partial) == ["metrics_p0.csv", "metrics_p0.svg"]
+    # the rows written are the uninterrupted run's rows up to that iteration
+    rows = partial["metrics_p0.csv"].splitlines()
+    assert 1 < len(rows) < len(full["metrics_p0.csv"].splitlines())
+    assert full["metrics_p0.csv"].splitlines()[:len(rows)] == rows
+
+    result = invoke("resume", run_id, "--runs-dir", runs, "--reports-dir", workspace / "resumed")
+    assert result.exit_code == 0, result.output
+    assert report_bytes(workspace / "resumed") == full
+
+
+def test_cli_run_killed_resumes_to_the_uninterrupted_run(tmp_path):
+    text = (BASE_CONFIG.replace("max_iterations: 3", "max_iterations: 40")
+            .replace("  k_trials: 2", "  k_trials: 8")
+            .replace("  parallelism: 2", "  parallelism: 2\n  store_sync: always"))
+    killed = workspace_with(tmp_path / "killed", text)
+    runs = killed / "out" / "runs"
+    env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "selfevolve.cli", "run", "config.yaml"],
+                             cwd=killed, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30.0
+        logs = []
+        while child.poll() is None and time.monotonic() < deadline:
+            logs = list(runs.glob("*/events.log"))
+            if logs and logs[0].read_bytes().count(b"\n") >= 20:
+                break
+            time.sleep(0.005)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == -signal.SIGKILL
+    assert b"RunFinalized" not in logs[0].read_bytes()
+    run_id = logs[0].parent.name
+
+    result = invoke("analyze", run_id, "--runs-dir", runs, "--out", killed / "partial")
+    assert result.exit_code == 0, result.output
+    result = invoke("resume", run_id, "--runs-dir", runs, "--reports-dir", killed / "reports")
+    assert result.exit_code == 0, result.output
+
+    whole = workspace_with(tmp_path / "whole", text)
+    whole_id = run_cli_experiment(whole)
+    assert (committed_view(RunStore(runs).load_run(run_id)[1])
+            == committed_view(RunStore(whole / "out" / "runs").load_run(whole_id)[1]))
+    assert (report_bytes(killed / "reports")
+            == report_bytes(whole / "out" / "reports" / whole_id))
