@@ -195,13 +195,16 @@ def build_backend_from_snapshot(snapshot: dict):
 
 def load_problems(path: str | Path) -> list[Problem]:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".jsonl":
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    elif path.suffix == ".json":
-        records = json.loads(text)
-    else:
-        records = yaml.safe_load(text)
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".jsonl":
+            records = [json.loads(line) for line in text.splitlines() if line.strip()]
+        elif path.suffix == ".json":
+            records = json.loads(text)
+        else:
+            records = yaml.safe_load(text)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, yaml.YAMLError) as e:
+        raise ConfigInvalid([f"{path}: cannot read problems file: {e}"]) from e
     if not isinstance(records, list) or not records:
         raise ConfigInvalid([f"{path}: problems file must be a non-empty list"])
     problems = []
@@ -214,9 +217,12 @@ def load_problems(path: str | Path) -> list[Problem]:
             raise ConfigInvalid([f"{path}: duplicate problem id {pid!r}"])
         seen.add(pid)
         answer = rec.get("answer")
-        problems.append(Problem(
-            problem_id=pid,
-            statement=str(rec["statement"]),
-            answer=normalize_answer(str(answer)) if answer is not None else None,
-        ))
+        try:
+            problems.append(Problem(
+                problem_id=pid,
+                statement=str(rec["statement"]),
+                answer=normalize_answer(str(answer)) if answer is not None else None,
+            ))
+        except ValueError as e:
+            raise ConfigInvalid([f"{path}: record {i}: {e}"]) from e
     return problems

@@ -71,6 +71,10 @@ class Problem:
     statement: str
     answer: AnswerKey | None = None
 
+    def __post_init__(self):
+        if not self.statement:
+            raise ValueError("statement must be non-empty")
+
 
 @dataclass
 class IterationRecord:
@@ -86,20 +90,7 @@ class IterationRecord:
     completion_tokens: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "solution_text": self.solution_text,
-            "answer": self.answer,
-            "verification_text": self.verification_text,
-            "verdict": self.verdict,
-            "failure": self.failure,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationRecord":
-        return cls(**d)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -139,17 +130,17 @@ class TrialState:
         return (self.problem_id, self.trial_index)
 
 
-def _call_with_reask(backend, context, base_seed, calls, phase, config, parse):
-    """Call, re-asking with the same context up to max_parse_retries when
-    parse(summary) returns None (distinguishes format lapses from real
-    failure). Each call appends to calls (unless None) an entry with what the
-    committed record cannot reproduce: the thinking text, usage, or the
-    failure. Returns (response, parsed value, failure_kind)."""
+def _call(backend, context, base_seed, calls, phase, config, parse):
+    """One phase's reasoning call, re-asked with the same context up to
+    max_parse_retries times while parse(summary) returns None (a format lapse,
+    not a real failure). Each attempt appends to calls what the committed
+    record cannot reproduce: the thinking text and usage, or the failure.
+    Returns (response, parsed value, failure); the response is None after a
+    backend error or a truncation."""
     for attempt in range(config.max_parse_retries + 1):
         seed = derive_seed(base_seed, "attempt", attempt)
         call = {"phase": phase, "attempt": attempt}
-        if calls is not None:
-            calls.append(call)
+        calls.append(call)
         try:
             response = backend.reasoning_call(ReasoningRequest(context=context, request_seed=seed))
         except ResponseTruncated as e:
@@ -167,101 +158,34 @@ def _call_with_reask(backend, context, base_seed, calls, phase, config, parse):
     return response, None, FAILURE_UNPARSEABLE
 
 
-def solve(backend, question: str, prompts: PromptSet, seed: int,
-          config: ControllerConfig = ControllerConfig(), calls=None) -> IterationRecord:
-    """Initial record: one reasoning call on [solve_prompt; q]."""
-    if not question:
-        raise ValueError("question must be non-empty")
-    context = (prompts.solve_prompt, question)
-    response, answer, failure = _call_with_reask(
-        backend, context, seed, calls, "solve", config, extract_answer)
-    if response is None:
-        return IterationRecord(index=0, solution_text="", failure=failure)
-    return IterationRecord(
-        index=0,
-        solution_text=response.summary_text,
-        answer=answer.canonical if answer else None,
-        failure=failure,
-        prompt_tokens=response.prompt_tokens,
-        completion_tokens=response.completion_tokens,
-    )
-
-
-def parse_verdict(summary_text: str) -> int | None:
+def _verdict(summary_text: str) -> int | None:
     answer = extract_answer(summary_text)
     if answer is not None and answer.canonical in ("0", "1"):
         return int(answer.canonical)
     return None
 
 
-def verify(backend, question: str, solution: str, prompts: PromptSet, seed: int,
-           config: ControllerConfig = ControllerConfig(), calls=None):
-    """Verification call on [q; s; p_v].
-
-    Returns (verification_text, verdict, failure, usage). An absent verdict is
-    recorded (verdict None), not fatal.
-    """
-    if not solution:
-        raise ValueError("solution must be non-empty")
-    context = (question, solution, prompts.verify_prompt)
-    response, verdict, failure = _call_with_reask(
-        backend, context, seed, calls, "verify", config, parse_verdict)
-    if response is None:
-        return None, None, failure, (0, 0)
-    return (
-        response.summary_text,
-        verdict,
-        failure,
-        (response.prompt_tokens, response.completion_tokens),
-    )
-
-
-def refine(backend, question: str, solution: str, verification_text: str,
-           prompts: PromptSet, seed: int, prior: IterationRecord,
-           config: ControllerConfig = ControllerConfig(), calls=None) -> IterationRecord:
-    """Refinement call on [q; s; p_v; v; p_r] producing the next record.
-
-    On failure the prior solution is carried forward as the new state and the
-    record is marked failed.
-    """
-    context = (question, solution, prompts.verify_prompt, verification_text,
-               prompts.refine_prompt)
-    response, answer, failure = _call_with_reask(
-        backend, context, seed, calls, "refine", config, extract_answer)
-    if failure is not None:
-        return IterationRecord(index=prior.index + 1, solution_text=prior.solution_text,
-                               answer=prior.answer, failure=failure)
-    return IterationRecord(
-        index=prior.index + 1,
-        solution_text=response.summary_text,
-        answer=answer.canonical if answer else None,
-        prompt_tokens=response.prompt_tokens,
-        completion_tokens=response.completion_tokens,
-    )
-
-
-def _streaks(records: list[IterationRecord]) -> tuple[int, int]:
-    """Reconstruct (pass, fail) streak counters from committed records."""
-    passes = fails = 0
-    for r in records[1:]:
-        if r.verdict == 1:
-            passes, fails = passes + 1, 0
-        else:
-            passes, fails = 0, fails + 1
-    return passes, fails
+def _streaks(passes: int, fails: int, verdict: int | None) -> tuple[int, int]:
+    """The (pass, fail) streak counters after one more verdict; an absent
+    verdict counts as a fail."""
+    return (passes + 1, 0) if verdict == 1 else (0, fails + 1)
 
 
 def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptSet,
               seed: int, log: RunLog | None = None, state: TrialState | None = None,
               problem_id: str = "p0", trial_index: int = 0) -> TrialState:
-    """One trial: the initial solve, then verify steps, until max_iterations
-    of them are done. Each record is committed, appended to log with the
-    calls made for it when a log is given, before the next call begins.
+    """One trial: the initial solve on [p_s; q], then steps until
+    max_iterations of them are done. A step verifies on [q; s; p_v] and
+    refines on [q; s; p_v; v; p_r]. Each record is committed, appended to log
+    with the calls made for it when a log is given, before the next call
+    begins.
 
     DSER refines after every verdict. VERDEP keeps a passed solution unchanged
     and refines after a fail (an unparseable verdict counts as a fail); it
     also exits on accept_limit consecutive passes or reject_limit consecutive
-    fails. A failed verify call carries the prior state forward.
+    fails. A solve that stays unparseable keeps its text, with no answer. A
+    failed verify or refine carries the prior solution forward; the tokens of
+    a failed refine are not counted.
     """
     if state is None:
         state = TrialState(problem_id, trial_index, config.kind, seed)
@@ -269,30 +193,43 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
     accept, reject = (config.accept_limit, config.reject_limit) if verdep else (inf, inf)
     # The streaks rebuilt from the records are tested before the first call,
     # so a trial resumed after its exit record exits without another call.
-    passes, fails = _streaks(state.records)
+    passes = fails = 0
+    for r in state.records[1:]:
+        passes, fails = _streaks(passes, fails, r.verdict)
     while passes < accept and fails < reject and len(state.records) <= config.max_iterations:
         n = len(state.records)
         calls: list[dict] = []
+        verified = verdict = None
         if n == 0:
-            record = solve(backend, question, prompts, derive_seed(seed, 0, "solve"),
-                           config, calls)
+            response, answer, failure = _call(
+                backend, (prompts.solve_prompt, question), derive_seed(seed, 0, "solve"),
+                calls, "solve", config, extract_answer)
+            text = response.summary_text if response else ""
+            answer = answer.canonical if answer else None
         else:
             prior = state.records[-1]
-            v_text, verdict, v_failure, v_usage = verify(
-                backend, question, prior.solution_text or "(no solution)",
-                prompts, derive_seed(seed, n, "verify"), config, calls)
-            passes, fails = (passes + 1, 0) if verdict == 1 else (0, fails + 1)
-            if v_failure in (FAILURE_TRUNCATED, FAILURE_BACKEND) or (verdep and verdict == 1):
-                record = IterationRecord(index=n, solution_text=prior.solution_text,
-                                         answer=prior.answer, failure=v_failure)
+            context = (question, prior.solution_text or "(no solution)", prompts.verify_prompt)
+            verified, verdict, failure = _call(
+                backend, context, derive_seed(seed, n, "verify"), calls, "verify", config,
+                _verdict)
+            passes, fails = _streaks(passes, fails, verdict)
+            response = None
+            if verified is not None and not (verdep and verdict == 1):
+                response, answer, failure = _call(
+                    backend, context + (verified.summary_text, prompts.refine_prompt),
+                    derive_seed(seed, n, "refine"), calls, "refine", config, extract_answer)
+            # a failed verify or refine, or a VERDEP pass, carries the prior
+            # solution forward; a failed refine's tokens go with its response
+            if response is None or failure is not None:
+                response, text, answer = None, prior.solution_text, prior.answer
             else:
-                record = refine(backend, question, prior.solution_text or "(no solution)",
-                                v_text or "", prompts, derive_seed(seed, n, "refine"),
-                                prior, config, calls)
-            record.verification_text = v_text
-            record.verdict = verdict
-            record.prompt_tokens += v_usage[0]
-            record.completion_tokens += v_usage[1]
+                text, answer = response.summary_text, answer.canonical
+        record = IterationRecord(n, text, answer, verified.summary_text if verified else None,
+                                 verdict, failure)
+        for r in (verified, response):
+            if r is not None:
+                record.prompt_tokens += r.prompt_tokens
+                record.completion_tokens += r.completion_tokens
         state.records.append(record)
         if log is not None:
             log.append("IterationCommitted", {"record": record.to_dict(), "calls": calls},
@@ -329,7 +266,7 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
             continue
         st = states[ev.trial_id]
         if ev.kind == "IterationCommitted":
-            record = IterationRecord.from_dict(ev.payload["record"])
+            record = IterationRecord(**ev.payload["record"])
             if record.index == len(st.records):
                 st.records.append(record)
         elif ev.kind == "TrialExited":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import inf
 
 CORRECT = "C"
@@ -112,16 +111,6 @@ class ChainTrajectory:
     states: list[str]
     seed: int
     verdicts: list[int] = field(default_factory=list)
-
-    @property
-    def pass_streaks(self) -> list[int]:
-        """Consecutive passes ending at each step; a fail resets the count."""
-        return list(accumulate(self.verdicts, lambda n, v: n + 1 if v else 0, initial=0))[1:]
-
-    @property
-    def fail_streaks(self) -> list[int]:
-        """Consecutive fails ending at each step; a pass resets the count."""
-        return list(accumulate(self.verdicts, lambda n, v: 0 if v else n + 1, initial=0))[1:]
 
 
 # ---------------------------------------------------------------------------

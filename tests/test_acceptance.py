@@ -10,6 +10,7 @@ import math
 import random
 import shutil
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -287,10 +288,10 @@ def test_http_refinement_context_order(capsys):
     solve_text = "<think>try 62</think>\nI get \\boxed{62}"
     verify_text = "<think>check</think>\nThe sum is off. \\boxed{0}"
     refine_text = "<think>redo</think>\nCorrected: \\boxed{60}"
-    with StubChatServer([completion(solve_text), completion(verify_text),
-                         completion(refine_text)]) as server:
-        backend = HttpBackend(BackendConfig(endpoint=server.endpoint,
-                                            model="stub", timeout_s=10.0))
+    with (StubChatServer([completion(solve_text), completion(verify_text),
+                          completion(refine_text)]) as server,
+          closing(HttpBackend(BackendConfig(endpoint=server.endpoint, model="stub",
+                                            timeout_s=10.0))) as backend):
         config = ControllerConfig(kind=DSER, max_iterations=1)
         state = run_trial(config, backend, question, PROMPTS, seed=3)
     s = "I get \\boxed{62}"

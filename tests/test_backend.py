@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import random
 import sys
 import threading
@@ -187,10 +188,19 @@ def _http_config(endpoint, **overrides):
     return BackendConfig(**base)
 
 
-def test_http_round_trip_strips_thinking():
+@pytest.fixture
+def http_backend():
+    """Builds an HttpBackend from _http_config's arguments; each one built is
+    closed at teardown."""
+    with contextlib.ExitStack() as stack:
+        yield lambda endpoint, **overrides: stack.enter_context(
+            contextlib.closing(HttpBackend(_http_config(endpoint, **overrides))))
+
+
+def test_http_round_trip_strips_thinking(http_backend):
     canned = "<think>internal</think>\nThe answer is \\boxed{60}"
     with StubChatServer([completion(canned)]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         response = backend.reasoning_call(
             ReasoningRequest(context=("solve", "question"), request_seed=7))
     assert response.full_text == canned
@@ -203,36 +213,35 @@ def test_http_round_trip_strips_thinking():
     assert body["seed"] == 7
 
 
-def test_http_truncation_surfaced():
+def test_http_truncation_surfaced(http_backend):
     with StubChatServer([completion("partial tex", finish_reason="length")]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         with pytest.raises(ResponseTruncated) as err:
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert err.value.partial_text == "partial tex"
 
 
-def test_http_sends_configured_sampling_parameters():
+def test_http_sends_configured_sampling_parameters(http_backend):
     with StubChatServer([completion("ok")]) as server:
-        backend = HttpBackend(_http_config(server.endpoint, temperature=0.0,
-                                           max_response_tokens=128))
+        backend = http_backend(server.endpoint, temperature=0.0, max_response_tokens=128)
         backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     body = server.requests[0]
     assert body["temperature"] == 0.0
     assert body["max_tokens"] == 128
 
 
-def test_http_retries_then_succeeds():
+def test_http_retries_then_succeeds(http_backend):
     with StubChatServer([500, 503, completion("ok \\boxed{1}")]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         response = backend.reasoning_call(
             ReasoningRequest(context=("q",), request_seed=1))
     assert "\\boxed{1}" in response.summary_text
     assert len(server.requests) == 3
 
 
-def test_http_retries_exhausted():
+def test_http_retries_exhausted(http_backend):
     with StubChatServer([500, 500, 500]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         with pytest.raises(BackendUnavailable):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
 
@@ -246,19 +255,19 @@ MALFORMED_BODIES = [
 ]
 
 
-def test_http_malformed_body_exhausts_retries():
+def test_http_malformed_body_exhausts_retries(http_backend):
     script = [body for body in MALFORMED_BODIES for _ in range(3)]
     with StubChatServer(script) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         for _ in MALFORMED_BODIES:
             with pytest.raises(BackendUnavailable):
                 backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert len(server.requests) == len(script)
 
 
-def test_http_malformed_body_retried():
+def test_http_malformed_body_retried(http_backend):
     with StubChatServer([200, completion("ok \\boxed{1}")]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         response = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert "\\boxed{1}" in response.summary_text
     assert len(server.requests) == 2
@@ -268,19 +277,19 @@ def test_http_malformed_body_retried():
 SLOW = dict(completion("late \\boxed{1}"), delay_s=0.2)
 
 
-def test_http_timeout_on_every_attempt():
+def test_http_timeout_on_every_attempt(http_backend):
     with StubChatServer([SLOW, SLOW]) as server:
-        backend = HttpBackend(_http_config(server.endpoint, timeout_s=0.05, max_attempts=2))
+        backend = http_backend(server.endpoint, timeout_s=0.05, max_attempts=2)
         with pytest.raises(BackendTimeout):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert len(server.requests) == 2
 
 
-def test_http_timeout_carries_trial_state_forward():
+def test_http_timeout_carries_trial_state_forward(http_backend):
     # the solve succeeds; the verify call times out twice, so the committed
     # iteration keeps the solution and is marked as a backend error
     with StubChatServer([completion("so \\boxed{7}"), SLOW, SLOW]) as server:
-        backend = HttpBackend(_http_config(server.endpoint, timeout_s=0.05, max_attempts=2))
+        backend = http_backend(server.endpoint, timeout_s=0.05, max_attempts=2)
         state = run_trial(ControllerConfig(max_iterations=1), backend, "question",
                           PromptSet(), seed=3)
     solved, timed_out = state.records
@@ -292,12 +301,12 @@ def test_http_timeout_carries_trial_state_forward():
     assert len(server.requests) == 3
 
 
-def test_http_no_request_mutation():
+def test_http_no_request_mutation(http_backend):
     # the engine-visible rendered context equals byte-for-byte what was sent
     segments = ("question text", "solution \\boxed{3}", "verify prompt")
     request = ReasoningRequest(context=segments, request_seed=2)
     with StubChatServer([completion("fine \\boxed{1}")]) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         backend.reasoning_call(request)
     sent = server.requests[0]["messages"][0]["content"]
     assert sent == request.rendered() == "\n\n".join(segments)
@@ -318,10 +327,10 @@ def test_inflight_cap_respected():
     assert backend.call_count == 32
 
 
-def test_http_inflight_cap():
+def test_http_inflight_cap(http_backend):
     # with a cap of 2, the server never handles more than 2 requests at once
     with StubChatServer([dict(completion("x"), delay_s=0.02)] * 12) as server:
-        backend = HttpBackend(_http_config(server.endpoint, max_in_flight=2))
+        backend = http_backend(server.endpoint, max_in_flight=2)
         threads = [
             threading.Thread(target=lambda i=i: backend.reasoning_call(
                 ReasoningRequest(context=("q",), request_seed=i)))
@@ -336,7 +345,7 @@ def test_http_inflight_cap():
     assert server.max_active == 2
 
 
-def test_http_resends_on_a_dropped_keepalive_connection(monkeypatch):
+def test_http_resends_on_a_dropped_keepalive_connection(monkeypatch, http_backend):
     # the server closes the idle connection between two calls; the second
     # call sends again on a fresh connection within its first attempt, so no
     # backoff is slept
@@ -345,7 +354,7 @@ def test_http_resends_on_a_dropped_keepalive_connection(monkeypatch):
                         SimpleNamespace(monotonic=time.monotonic, sleep=sleeps.append))
     script = [completion("one \\boxed{1}"), completion("two \\boxed{2}")]
     with StubChatServer(script, idle_timeout_s=0.05) as server:
-        backend = HttpBackend(_http_config(server.endpoint))
+        backend = http_backend(server.endpoint)
         first = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
         deadline = time.monotonic() + 5.0
         while server.closed < 1 and time.monotonic() < deadline:
@@ -359,26 +368,26 @@ def test_http_resends_on_a_dropped_keepalive_connection(monkeypatch):
     assert sleeps == []
 
 
-def test_https_endpoint_on_plain_http_server():
+def test_https_endpoint_on_plain_http_server(http_backend):
     # the TLS handshake fails on every attempt: an unavailable backend. The
     # stub reads the handshake as a request line, and unless it holds a
     # newline only the idle timeout ends that read
     with StubChatServer([], idle_timeout_s=0.05) as server:
         endpoint = server.endpoint.replace("http://", "https://")
-        backend = HttpBackend(_http_config(endpoint, max_attempts=2))
+        backend = http_backend(endpoint, max_attempts=2)
         with pytest.raises(BackendUnavailable):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert server.requests == []
 
 
-def test_http_close_closes_every_threads_connection():
+def test_http_close_closes_every_threads_connection(http_backend):
     # more threads than cores, switching often, each open a connection at once
     script = [dict(completion("ok"), delay_s=0.05) for _ in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with StubChatServer(script) as server:
-            backend = HttpBackend(_http_config(server.endpoint))
+            backend = http_backend(server.endpoint)
             threads = [threading.Thread(target=backend.reasoning_call, args=(
                 ReasoningRequest(context=("q",), request_seed=i),)) for i in range(4)]
             for t in threads:

@@ -119,6 +119,33 @@ def test_load_problems_jsonl_and_duplicates(tmp_path):
         load_problems(path)
 
 
+@pytest.mark.parametrize("name, content", [
+    ("problems.json", b'[{"id": "p0", "statement": "q"'),
+    ("problems.jsonl", b'{"id": "p0", "statement": "q"}\n{"id": "p1",\n'),
+    ("problems.yaml", b"- id: p0\n  statement: [unclosed\n"),
+    ("problems.json", b'[{"id": "p0", "statement": "\xff"}]'),
+], ids=["json", "jsonl", "yaml", "not_utf8"])
+def test_cli_run_rejects_unreadable_problems_file(workspace, name, content):
+    # a problems file that does not parse is an invalid config (exit 2),
+    # reported before a run directory is written
+    (workspace / name).write_bytes(content)
+    text = BASE_CONFIG.replace("problems: problems.json", f"problems: {name}")
+    (workspace / "bad.yaml").write_text(text)
+    result = invoke("run", workspace / "bad.yaml")
+    assert result.exit_code == 2, result.output
+    assert "cannot read problems file" in result.output
+    assert not (workspace / "out").exists()
+
+
+def test_cli_run_rejects_empty_statement(workspace):
+    problems = PROBLEMS + [{"id": "p1", "statement": "", "answer": "60"}]
+    (workspace / "problems.json").write_text(json.dumps(problems))
+    result = invoke("run", workspace / "config.yaml")
+    assert result.exit_code == 2, result.output
+    assert "record 1: statement must be non-empty" in result.output
+    assert not (workspace / "out").exists()
+
+
 # --- run / resume / analyze --------------------------------------------------
 
 def committed_view(states):

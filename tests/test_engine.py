@@ -26,13 +26,10 @@ from selfevolve.engine import (
     PromptSet,
     TrialState,
     rebuild_trial_states,
-    refine,
     resume_experiment,
     run_experiment,
     run_trial,
-    solve,
     trial_seed,
-    verify,
 )
 from selfevolve.store import RunStore, run_dir
 
@@ -57,7 +54,9 @@ def make_spec(**overrides) -> MockSpec:
 
 
 class ScriptedBackend:
-    """Replays fixed response texts in call order."""
+    """Replays fixed response texts in call order. A response's prompt tokens
+    are its context's segment count, so a record's tokens tell its calls apart
+    (solve 2, verify 3, refine 5); each completion is one token."""
 
     def __init__(self, texts):
         self.texts = list(texts)
@@ -72,6 +71,7 @@ class ScriptedBackend:
 
         summary, malformed = strip_thinking(text)
         return ReasoningResponse(full_text=text, summary_text=summary,
+                                 prompt_tokens=len(request.context), completion_tokens=1,
                                  malformed_thinking=malformed)
 
 
@@ -87,87 +87,107 @@ class RecordingBackend:
         return self.inner.reasoning_call(request)
 
 
-# --- solve / verify / refine -------------------------------------------------
+# --- the trial step: solve, verify, refine ------------------------------------
+
+SOLVE_ONLY = ControllerConfig(kind=DSER, max_iterations=0)
+ONE_STEP = ControllerConfig(kind=DSER, max_iterations=1)
+
+
+def fixture_trial():
+    """One DSER step over the first recorded transcript."""
+    backend = ScriptedBackend(CASE_BLOCKS[0])
+    return run_trial(ONE_STEP, backend, PENTAGON_PROBLEM, PROMPTS, seed=1).records
+
 
 def test_solve_with_certain_mock():
     backend = MockBackend(make_spec(initial_correct_probability=1.0))
-    record = solve(backend, "what is 59+1?", PROMPTS, seed=1)
+    [record] = run_trial(SOLVE_ONLY, backend, "what is 59+1?", PROMPTS, seed=1).records
     assert record.index == 0
     assert record.answer == "60"
     assert record.failure is None
 
 
 def test_solve_unparseable_after_reask():
+    # the last attempt's text is kept, with no answer
     backend = ScriptedBackend(["no box here"] * 3)
-    record = solve(backend, "q", PROMPTS, seed=1,
-                   config=ControllerConfig(max_parse_retries=2))
+    config = ControllerConfig(kind=DSER, max_iterations=0, max_parse_retries=2)
+    [record] = run_trial(config, backend, "q", PROMPTS, seed=1).records
+    assert record.solution_text == "no box here"
     assert record.answer is None
     assert record.failure == "unparseable"
+    assert (record.prompt_tokens, record.completion_tokens) == (2, 1)
     assert len(backend.requests) == 3
 
 
 def test_solve_extracts_from_recorded_transcript():
-    solution, _, _ = CASE_BLOCKS[0]
-    backend = ScriptedBackend([solution])
-    record = solve(backend, PENTAGON_PROBLEM, PROMPTS, seed=1)
-    assert record.answer == "62"
+    assert fixture_trial()[0].answer == "62"
 
 
 def test_verify_parses_verdicts():
     for text, expected in (("report\n\\boxed{0}", 0), ("report\n\\boxed{1}", 1)):
-        backend = ScriptedBackend([text])
-        v_text, verdict, failure, _ = verify(backend, "q", "sol", PROMPTS, seed=1)
-        assert verdict == expected
-        assert failure is None
+        backend = ScriptedBackend(["s \\boxed{5}", text, "r \\boxed{6}"])
+        _, record = run_trial(ONE_STEP, backend, "q", PROMPTS, seed=1).records
+        assert record.verdict == expected
+        assert record.verification_text == text
+        assert record.failure is None
 
 
 def test_verify_fixture_verdict():
-    _, verify_text, _ = CASE_BLOCKS[0]
-    backend = ScriptedBackend([verify_text])
-    _, verdict, _, _ = verify(backend, PENTAGON_PROBLEM, "claimed solution",
-                              PROMPTS, seed=1)
-    assert verdict == 0
+    assert fixture_trial()[1].verdict == 0
 
 
 def test_verify_missing_verdict_flagged():
-    backend = ScriptedBackend(["no verdict"] * 3)
-    v_text, verdict, failure, _ = verify(backend, "q", "sol", PROMPTS, seed=1,
-                                         config=ControllerConfig(max_parse_retries=2))
-    assert verdict is None
-    assert failure == "unparseable"
-    assert v_text is not None
+    # re-asked, then recorded without a verdict; it counts as a fail
+    backend = ScriptedBackend(["s \\boxed{5}"] + ["no verdict"] * 3 + ["r \\boxed{6}"])
+    config = ControllerConfig(kind=VERDEP, max_iterations=5, reject_limit=1,
+                              max_parse_retries=2)
+    state = run_trial(config, backend, "q", PROMPTS, seed=1)
+    _, record = state.records
+    assert record.verdict is None
+    assert record.verification_text == "no verdict"
+    assert record.answer == "6"
+    assert state.status == REJECTED_EXIT
+    assert len(backend.requests) == 5
 
 
 def test_refine_forced_improvement():
     from selfevolve.markov import TransitionParams
 
     backend = MockBackend(make_spec(transition=TransitionParams(1.0, 0.0)))
-    prior = IterationRecord(index=0, solution_text="Final answer: \\boxed{100001}",
-                            answer="100001")
-    record = refine(backend, "q", prior.solution_text, "report: wrong", PROMPTS,
-                    seed=1, prior=prior)
+    solved, record = run_trial(ONE_STEP, backend, "q", PROMPTS, seed=1).records
+    assert solved.answer != "60"
     assert record.index == 1
     assert record.answer == "60"
 
 
 def test_refine_carry_forward_on_backend_error():
-    backend = ScriptedBackend([])  # immediately unavailable
-    prior = IterationRecord(index=3, solution_text="sol \\boxed{42}", answer="42")
-    record = refine(backend, "q", prior.solution_text, "report", PROMPTS,
-                    seed=1, prior=prior)
-    assert record.index == 4
-    assert record.solution_text == prior.solution_text
+    # the script runs out at the refine call
+    backend = ScriptedBackend(["sol \\boxed{42}", "report \\boxed{0}"])
+    solved, record = run_trial(ONE_STEP, backend, "q", PROMPTS, seed=1).records
+    assert record.index == 1
+    assert record.solution_text == solved.solution_text
     assert record.answer == "42"
     assert record.failure == "backend_error"
+    assert (record.verification_text, record.verdict) == ("report \\boxed{0}", 0)
+    assert (record.prompt_tokens, record.completion_tokens) == (3, 1)
+
+
+def test_refine_unparseable_carries_forward_without_its_tokens():
+    backend = ScriptedBackend(["sol \\boxed{42}", "report \\boxed{0}"] + ["no box"] * 3)
+    config = ControllerConfig(kind=DSER, max_iterations=1, max_parse_retries=2)
+    solved, record = run_trial(config, backend, "q", PROMPTS, seed=1).records
+    assert (record.solution_text, record.answer) == (solved.solution_text, "42")
+    assert record.failure == "unparseable"
+    assert (record.prompt_tokens, record.completion_tokens) == (3, 1)
+    assert len(backend.requests) == 5
 
 
 def test_refine_fixture_answer():
-    _, _, refine_text = CASE_BLOCKS[0]
-    backend = ScriptedBackend([refine_text])
-    prior = IterationRecord(index=0, solution_text="old", answer="62")
-    record = refine(backend, PENTAGON_PROBLEM, "old", "verify report", PROMPTS,
-                    seed=1, prior=prior)
+    _, record = fixture_trial()
     assert record.answer == "60"
+    assert record.solution_text.endswith("\\boxed{\\textcolor{green}{60}}")
+    # a refined record counts its verify and refine tokens
+    assert (record.prompt_tokens, record.completion_tokens) == (8, 2)
 
 
 # --- DSER trial --------------------------------------------------------------

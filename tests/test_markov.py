@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -325,20 +326,27 @@ def test_verdep_deterministic():
     assert a == b
 
 
+def streaks(verdicts, verdict):
+    """Consecutive verdicts equal to verdict ending at each step; any other
+    verdict resets the count."""
+    return list(accumulate(verdicts, lambda n, v: n + 1 if v == verdict else 0, initial=0))[1:]
+
+
 def test_verdep_streak_reset_semantics():
     # no prefix may contain a full accept/reject streak without exiting there
     acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.3, y_i0=0.3,
                                reject_limit=4, accept_limit=3)
     for seed in range(50):
         exit_kind, _, traj = simulate_verdep_chain(acp, seed=seed, max_iterations=200)
-        for i, (p, f) in enumerate(zip(traj.pass_streaks, traj.fail_streaks)):
+        pass_streaks, fail_streaks = streaks(traj.verdicts, 1), streaks(traj.verdicts, 0)
+        for i, (p, f) in enumerate(zip(pass_streaks, fail_streaks)):
             last = i == len(traj.verdicts) - 1
             if p >= acp.accept_limit:
                 assert last and exit_kind == "Accepted"
             if f >= acp.reject_limit:
                 assert last and exit_kind == "Rejected"
         # counters reset each other
-        for p, f in zip(traj.pass_streaks, traj.fail_streaks):
+        for p, f in zip(pass_streaks, fail_streaks):
             assert p == 0 or f == 0
 
 
