@@ -2,7 +2,7 @@
 
 Every call is stateless: the full context is sent as a single user message,
 and only the summarized solution (thinking block removed) flows downstream.
-The raw text is preserved on the response for persistence.
+The raw text and the thinking are kept on the response for persistence.
 """
 
 from __future__ import annotations
@@ -65,38 +65,31 @@ class ReasoningRequest:
 class ReasoningResponse:
     full_text: str
     summary_text: str
+    thinking: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
     latency_s: float = 0.0
     malformed_thinking: bool = False
 
 
-def strip_thinking(full_text: str) -> tuple[str, bool]:
-    """Remove the first well-formed thinking block; returns (summary, malformed).
+def strip_thinking(full_text: str) -> tuple[str, str, bool]:
+    """Split off the first well-formed thinking block; returns (summary,
+    thinking, malformed), the thinking without its delimiters.
 
-    Text without delimiters passes through unchanged. An unclosed opening
-    delimiter removes everything from it onward and sets the malformed flag.
+    Text without delimiters passes through unchanged, with empty thinking. An
+    unclosed opening delimiter makes everything after it the thinking, leaves
+    the text before it as the summary, and sets the malformed flag.
     """
     start = full_text.find(THINK_OPEN)
     if start == -1:
-        return full_text, False
-    end = full_text.find(THINK_CLOSE, start + len(THINK_OPEN))
+        return full_text, "", False
+    inner = start + len(THINK_OPEN)
+    end = full_text.find(THINK_CLOSE, inner)
     if end == -1:
-        return full_text[:start].strip(), True
+        return full_text[:start].strip(), full_text[inner:], True
     before = full_text[:start]
     after = full_text[end + len(THINK_CLOSE):]
-    return (before.strip() + "\n" + after.strip()).strip(), False
-
-
-def thinking_text(full_text: str) -> str:
-    """The content of the block strip_thinking removes, without delimiters;
-    empty when the text has no thinking block."""
-    start = full_text.find(THINK_OPEN)
-    if start == -1:
-        return ""
-    start += len(THINK_OPEN)
-    end = full_text.find(THINK_CLOSE, start)
-    return full_text[start:] if end == -1 else full_text[start:end]
+    return (before.strip() + "\n" + after.strip()).strip(), full_text[inner:end], False
 
 
 @dataclass(frozen=True)
@@ -215,7 +208,7 @@ class HttpBackend:
         payload = json.dumps(body).encode("utf-8")
 
         last_error: Exception | None = None
-        timed_out = False
+        timeouts = 0
         with self._inflight:
             for attempt in range(self.config.max_attempts):
                 if attempt > 0:
@@ -228,11 +221,9 @@ class HttpBackend:
                 started = time.monotonic()
                 try:
                     status, data = self._post(payload)
-                except TimeoutError as e:
-                    last_error, timed_out = e, True
-                    continue
                 except (OSError, http.client.HTTPException) as e:
                     last_error = e
+                    timeouts += isinstance(e, TimeoutError)
                     continue
                 if status != 200:
                     error = f"HTTP {status}: {data[:200].decode(errors='replace')}"
@@ -258,16 +249,17 @@ class HttpBackend:
                         "completion hit the response token budget",
                         partial_text=full_text,
                     )
-                summary, malformed = strip_thinking(full_text)
+                summary, thinking, malformed = strip_thinking(full_text)
                 return ReasoningResponse(
                     full_text=full_text,
                     summary_text=summary,
+                    thinking=thinking,
                     prompt_tokens=prompt_tokens,
                     completion_tokens=completion_tokens,
                     latency_s=time.monotonic() - started,
                     malformed_thinking=malformed,
                 )
-        if timed_out:
+        if timeouts == self.config.max_attempts:
             raise BackendTimeout(f"all {self.config.max_attempts} attempts timed out") from last_error
         raise BackendUnavailable(
             f"retries exhausted after {self.config.max_attempts} attempts"
@@ -303,73 +295,20 @@ class MockSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.wrong_answer_space < 1:
+        space = self.wrong_answer_space
+        if not isinstance(space, int) or isinstance(space, bool):
+            raise ValueError(f"wrong_answer_space must be an integer, not {space!r}")
+        if space < 1:
             raise ValueError("wrong_answer_space must be >= 1")
-
-
-def _wrong_answer(spec: MockSpec, rng: random.Random) -> str:
-    k = rng.randrange(spec.wrong_answer_space)
-    candidate = str(WRONG_ANSWER_BASE + k)
-    if candidate == spec.ground_truth.canonical:
-        candidate = str(WRONG_ANSWER_BASE + spec.wrong_answer_space)
-    return candidate
-
-
-def _solution_text(answer: str, seed: int) -> str:
-    return (
-        f"{THINK_OPEN}working on it (trace {seed}){THINK_CLOSE}\n"
-        f"After reworking the key steps, the result follows.\n"
-        f"Final answer: \\boxed{{{answer}}}"
-    )
-
-
-def mock_reasoning_call(
-    spec: MockSpec, request_kind: str, hidden_state: str, seed: int
-) -> tuple[ReasoningResponse, str]:
-    """Deterministic synthetic reasoning call.
-
-    request_kind is "solve", "verify", or "refine"; hidden_state is "C" or
-    "I" (ignored for solve). Returns the response and the next hidden state.
-    """
-    rng = random.Random(seed)
-    correct = hidden_state == "C"
-    if request_kind == "solve":
-        correct = rng.random() < spec.initial_correct_probability
-        answer = spec.ground_truth.canonical if correct else _wrong_answer(spec, rng)
-        full = _solution_text(answer, seed)
-    elif request_kind == "verify":
-        passed = rng.random() < (spec.beta if correct else spec.alpha)
-        full = (
-            f"{THINK_OPEN}checking each step (trace {seed}){THINK_CLOSE}\n"
-            f"Verification report: the solution was checked step by step.\n"
-            f"\\boxed{{{1 if passed else 0}}}"
-        )
-    elif request_kind == "refine":
-        flip_p = spec.transition.p_ci if correct else spec.transition.p_ic
-        if rng.random() < flip_p:
-            correct = not correct
-        answer = spec.ground_truth.canonical if correct else _wrong_answer(spec, rng)
-        full = _solution_text(answer, seed)
-    else:
-        raise ValueError(f"unknown request kind {request_kind!r}")
-    summary, malformed = strip_thinking(full)
-    words = len(full.split())
-    response = ReasoningResponse(
-        full_text=full,
-        summary_text=summary,
-        prompt_tokens=0,
-        completion_tokens=words,
-        malformed_thinking=malformed,
-    )
-    return response, ("C" if correct else "I")
 
 
 class MockBackend:
     """Backend double that realizes the mock spec behind reasoning_call.
 
-    The request kind and hidden correctness are inferred from the request
-    context itself (segment count; answer embedded in the prior solution), so
-    the mock is a pure function of (spec, request) and resume-safe.
+    The request kind comes from the context's segment count (2 solve, 3
+    verify, 5 refine) and the hidden correctness from the answer in the prior
+    solution, so the mock is a pure function of (spec, request) and
+    resume-safe.
     """
 
     def __init__(self, spec: MockSpec):
@@ -377,29 +316,47 @@ class MockBackend:
         self._lock = threading.Lock()
         self.call_count = 0
 
-    def _classify(self, request: ReasoningRequest) -> tuple[str, str]:
-        n = len(request.context)
-        if n == 2:
-            return "solve", "I"
-        if n == 3:
-            kind = "verify"
-        elif n == 5:
-            kind = "refine"
-        else:
-            raise ValueError(f"cannot classify request with {n} context segments")
-        answer = extract_answer(request.context[1])
-        correct = answer == self.spec.ground_truth
-        return kind, ("C" if correct else "I")
-
     def reasoning_call(self, request: ReasoningRequest) -> ReasoningResponse:
-        if request.request_seed is None:
+        """A solve is correct with probability c0. A verify passes with
+        probability beta on a correct solution and alpha on an incorrect one.
+        A refine flips correctness with probability p_ci from correct and p_ic
+        from incorrect. All draws come from one generator seeded by the
+        request seed; an incorrect solution's answer is the next draw."""
+        spec, context, seed = self.spec, request.context, request.request_seed
+        n = len(context)
+        if seed is None:
             raise ValueError("mock backend requires request_seed")
+        if n not in (2, 3, 5):
+            raise ValueError(f"cannot classify request with {n} context segments")
         with self._lock:
             self.call_count += 1
-        kind, state = self._classify(request)
-        response, _ = mock_reasoning_call(self.spec, kind, state, request.request_seed)
-        response.prompt_tokens = sum(len(seg.split()) for seg in request.context)
-        return response
+        rng = random.Random(seed)
+        if n == 2:
+            correct = rng.random() < spec.initial_correct_probability
+        else:
+            correct = extract_answer(context[1]) == spec.ground_truth
+            flip = spec.transition.p_ci if correct else spec.transition.p_ic
+            if n == 5 and rng.random() < flip:
+                correct = not correct
+        if n == 3:
+            passed = rng.random() < (spec.beta if correct else spec.alpha)
+            thinking = f"checking each step (trace {seed})"
+            summary = ("Verification report: the solution was checked step by step.\n"
+                       f"\\boxed{{{int(passed)}}}")
+        else:
+            answer = spec.ground_truth.canonical
+            if not correct:
+                wrong = str(WRONG_ANSWER_BASE + rng.randrange(spec.wrong_answer_space))
+                answer = (wrong if wrong != answer
+                          else str(WRONG_ANSWER_BASE + spec.wrong_answer_space))
+            thinking = f"working on it (trace {seed})"
+            summary = ("After reworking the key steps, the result follows.\n"
+                       f"Final answer: \\boxed{{{answer}}}")
+        full = f"{THINK_OPEN}{thinking}{THINK_CLOSE}\n{summary}"
+        return ReasoningResponse(
+            full_text=full, summary_text=summary, thinking=thinking,
+            prompt_tokens=sum(len(segment.split()) for segment in context),
+            completion_tokens=len(full.split()))
 
 
 class MockBackendProvider:
@@ -422,14 +379,11 @@ class MockBackendProvider:
 
 
 def mock_spec_from_dict(d: dict) -> MockSpec:
-    """Build a MockSpec from a config-file mock section."""
+    """Build a MockSpec from a config-file mock section; an absent alpha, beta
+    or wrong_answer_space takes MockSpec's default."""
     return MockSpec(
         ground_truth=normalize_answer(str(d["ground_truth"])),
         initial_correct_probability=float(d.get("initial_correct_probability", 0.0)),
-        transition=TransitionParams(
-            p_ic=float(d["p_ic"]), p_ci=float(d["p_ci"])
-        ),
-        alpha=float(d.get("alpha", 0.1)),
-        beta=float(d.get("beta", 0.9)),
-        wrong_answer_space=int(d.get("wrong_answer_space", 100)),
+        transition=TransitionParams(p_ic=float(d["p_ic"]), p_ci=float(d["p_ci"])),
+        **{k: d[k] for k in ("alpha", "beta", "wrong_answer_space") if k in d},
     )

@@ -10,7 +10,7 @@ import click
 
 from . import markov
 from .backend import HttpBackend
-from .config import (ConfigDrift, ConfigInvalid, RunConfig, build_backend_from_snapshot,
+from .config import (ConfigDrift, ConfigInvalid, RunConfig, build_backend_from_manifest,
                      config_hash)
 from .engine import resume_experiment, run_experiment
 from .reports import write_run_reports
@@ -76,7 +76,7 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
             cfg = RunConfig.load(config_path)
             if config_hash(cfg.snapshot()) != manifest["config_hash"]:
                 raise ConfigDrift("live config differs from the manifest snapshot")
-        backend = build_backend_from_snapshot(manifest["config"])
+        backend = build_backend_from_manifest(manifest)
         with _closing(backend):
             resume_experiment(store, run_id, backend)
     except ConfigInvalid as e:

@@ -24,7 +24,7 @@ import yaml
 
 from .answers import normalize_answer
 from .backend import BackendConfig, HttpBackend, MockBackendProvider, mock_spec_from_dict
-from .engine import ControllerConfig, Problem, PromptSet, controller_from_snapshot
+from .engine import ControllerConfig, Problem, PromptSet, run_inputs
 from .store import SYNC_MODES
 
 
@@ -170,24 +170,27 @@ class RunConfig:
         return snap
 
     def build_backend(self):
-        return build_backend_from_snapshot(self.snapshot())
+        return _backend(self.snapshot())
 
     def load_problems(self) -> list[Problem]:
         return load_problems(self.problems_path)
 
 
-def build_backend_from_snapshot(snapshot: dict):
-    """The backend a config snapshot describes. A controller, mock or backend
-    section that cannot build its config raises ConfigInvalid, so a resume
-    refuses the run before it appends anything."""
-    errors: list[str] = []
-    _checked(errors, "controller", controller_from_snapshot, snapshot)
+def _backend(snapshot: dict):
+    """The backend a config snapshot's mock or backend section describes."""
     if "mock" in snapshot:
-        backend = _checked(errors, "mock", lambda: MockBackendProvider(
-            mock_spec_from_dict(snapshot["mock"])))
-    else:
-        backend = _checked(errors, "backend", lambda: HttpBackend(
-            BackendConfig(**snapshot["backend"])))
+        return MockBackendProvider(mock_spec_from_dict(snapshot["mock"]))
+    return HttpBackend(BackendConfig(**snapshot["backend"]))
+
+
+def build_backend_from_manifest(manifest: dict):
+    """The backend a run manifest describes. A manifest whose controller,
+    prompts, problems, mock or backend section cannot build raises
+    ConfigInvalid, so a resume refuses the run before it appends anything."""
+    errors: list[str] = []
+    _checked(errors, "manifest", run_inputs, manifest)
+    section = "mock" if "mock" in manifest["config"] else "backend"
+    backend = _checked(errors, section, _backend, manifest["config"])
     if errors:
         raise ConfigInvalid(errors)
     return backend

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from math import inf
 
 from .answers import AnswerKey, extract_answer, normalize_answer
-from .backend import BackendError, ReasoningRequest, ResponseTruncated, thinking_text
+from .backend import BackendError, ReasoningRequest, ResponseTruncated
 from .seeds import derive_seed
 from .store import Event, RunLog, RunStore
 
@@ -149,7 +149,7 @@ def _call(backend, context, base_seed, calls, phase, config, parse):
         except BackendError as e:
             call.update(failure=FAILURE_BACKEND, error=str(e))
             return None, None, FAILURE_BACKEND
-        call.update(thinking=thinking_text(response.full_text),
+        call.update(thinking=response.thinking,
                     prompt_tokens=response.prompt_tokens,
                     completion_tokens=response.completion_tokens)
         parsed = parse(response.summary_text)
@@ -328,15 +328,20 @@ def resume_experiment(store: RunStore, run_id: str, backend,
     _run(store, run_id, manifest, backend, parallelism, store_sync)
 
 
-def controller_from_snapshot(snapshot: dict) -> ControllerConfig:
-    """The controller config of a manifest's config snapshot."""
-    controller = dict(snapshot["controller"])
+def run_inputs(manifest: dict) -> tuple[ControllerConfig, PromptSet, dict[str, Problem]]:
+    """The controller config, prompts and problems (by id) of a run manifest;
+    raises ValueError, TypeError or KeyError on one that cannot build."""
+    controller = dict(manifest["config"]["controller"])
     # manifests written before the key was removed hold it; only true, the
     # behaviour that remains, can resume
     if controller.pop("carry_forward_on_failure", True) is not True:
         raise ValueError("carry_forward_on_failure: only true is supported; "
                          "a failed refine always keeps the prior solution")
-    return ControllerConfig(**controller)
+    problems = {p["id"]: Problem(p["id"], p["statement"],
+                                 None if p["answer"] is None else normalize_answer(p["answer"]))
+                for p in manifest["problems"]}
+    return (ControllerConfig(**controller), PromptSet(**manifest["config"].get("prompts", {})),
+            problems)
 
 
 def _run(store: RunStore, run_id: str, manifest: dict, backend,
@@ -347,11 +352,7 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
     log is read once, by the append handle, and the trial states are rebuilt
     from the events it parsed (none for a fresh run).
     """
-    config = controller_from_snapshot(manifest["config"])
-    prompts = PromptSet(**manifest["config"].get("prompts", {}))
-    problems = {p["id"]: Problem(p["id"], p["statement"],
-                                 None if p["answer"] is None else normalize_answer(p["answer"]))
-                for p in manifest["problems"]}
+    config, prompts, problems = run_inputs(manifest)
     log = store.open_log(run_id, sync=store_sync)
     try:
         if log.finalized:
@@ -366,12 +367,8 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
                       state=st)
 
         pending = [st for st in states.values() if st.status not in TERMINAL_STATUSES]
-        if parallelism <= 1:
-            for st in pending:
-                worker(st)
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                list(pool.map(worker, pending))
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            list(pool.map(worker, pending))
         log.append("RunFinalized", {})
     finally:
         log.close()

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from selfevolve import backend as backend_module
-from selfevolve.answers import AnswerKey
+from selfevolve.answers import AnswerKey, extract_answer
 from selfevolve.backend import (
     BackendConfig,
     BackendTimeout,
@@ -19,7 +19,6 @@ from selfevolve.backend import (
     MockSpec,
     ReasoningRequest,
     ResponseTruncated,
-    mock_reasoning_call,
     strip_thinking,
 )
 from selfevolve.engine import FAILURE_BACKEND, ControllerConfig, PromptSet, run_trial
@@ -43,25 +42,28 @@ def make_spec(**overrides) -> MockSpec:
 # --- thinking-block removal --------------------------------------------------
 
 def test_strip_thinking_basic():
-    summary, malformed = strip_thinking("<think>steps</think>\nAnswer: \\boxed{60}")
+    summary, thinking, malformed = strip_thinking("<think>steps</think>\nAnswer: \\boxed{60}")
     assert summary == "Answer: \\boxed{60}"
+    assert thinking == "steps"
     assert not malformed
 
 
 def test_strip_thinking_no_delimiters():
     text = "plain solution text"
-    assert strip_thinking(text) == (text, False)
+    assert strip_thinking(text) == (text, "", False)
 
 
 def test_strip_thinking_unclosed():
-    summary, malformed = strip_thinking("<think>never closed")
+    summary, thinking, malformed = strip_thinking("<think>never closed")
     assert summary == ""
+    assert thinking == "never closed"
     assert malformed
 
 
 def test_strip_thinking_preserves_prefix():
-    summary, malformed = strip_thinking("intro\n<think>x</think>\ntail")
+    summary, thinking, malformed = strip_thinking("intro\n<think>x</think>\ntail")
     assert summary == "intro\ntail"
+    assert thinking == "x"
     assert not malformed
 
 
@@ -78,33 +80,58 @@ def test_request_validation():
 
 # --- mock backend ------------------------------------------------------------
 
+def mock_call(spec, kind, state, seed):
+    """One MockBackend call of kind ("solve", "verify" or "refine") whose prior
+    solution is correct when state is "C" and incorrect when it is "I"."""
+    prior = f"Final answer: \\boxed{{{spec.ground_truth.canonical if state == 'C' else 100042}}}"
+    context = {"solve": ("solve prompt", "question"),
+               "verify": ("question", prior, "verify prompt"),
+               "refine": ("question", prior, "verify prompt", "report", "refine prompt")}[kind]
+    return MockBackend(spec).reasoning_call(ReasoningRequest(context, request_seed=seed))
+
+
+def hidden_state(spec, response):
+    """The hidden state of the response's solution: C when it carries the
+    ground truth, I otherwise."""
+    return "C" if extract_answer(response.summary_text) == spec.ground_truth else "I"
+
+
 def test_mock_solve_deterministic():
     spec = make_spec()
-    a, sa = mock_reasoning_call(spec, "solve", "I", seed=123)
-    b, sb = mock_reasoning_call(spec, "solve", "I", seed=123)
-    assert a == b and sa == sb
+    assert mock_call(spec, "solve", "I", seed=123) == mock_call(spec, "solve", "I", seed=123)
 
 
 def test_mock_solve_never_correct_at_zero():
     spec = make_spec(initial_correct_probability=0.0)
     for seed in range(100):
-        response, state = mock_reasoning_call(spec, "solve", "I", seed=seed)
-        assert state == "I"
+        response = mock_call(spec, "solve", "I", seed=seed)
+        assert hidden_state(spec, response) == "I"
         assert "\\boxed{60}" not in response.summary_text
 
 
 def test_mock_forced_improvement():
     spec = make_spec(transition=TransitionParams(p_ic=1.0, p_ci=0.0))
     for seed in range(50):
-        response, state = mock_reasoning_call(spec, "refine", "I", seed=seed)
-        assert state == "C"
+        response = mock_call(spec, "refine", "I", seed=seed)
+        assert hidden_state(spec, response) == "C"
         assert "\\boxed{60}" in response.summary_text
 
 
 def test_mock_summary_has_no_think_block():
-    response, _ = mock_reasoning_call(make_spec(), "solve", "I", seed=5)
+    response = mock_call(make_spec(), "solve", "I", seed=5)
     assert "<think>" not in response.summary_text
     assert "<think>" in response.full_text
+
+
+@pytest.mark.parametrize("kind", ["solve", "verify", "refine"])
+@pytest.mark.parametrize("state", ["C", "I"])
+def test_mock_full_text_splits_into_summary_and_thinking(kind, state):
+    # an HTTP stub sends the mock's full text, so the one scan of an HTTP
+    # response must give back what the in-process mock returns
+    for seed in range(50):
+        r = mock_call(make_spec(), kind, state, seed=seed)
+        assert r.thinking
+        assert strip_thinking(r.full_text) == (r.summary_text, r.thinking, False)
 
 
 def test_mock_refine_transition_faithfulness():
@@ -114,8 +141,7 @@ def test_mock_refine_transition_faithfulness():
     flips = {"I": 0, "C": 0}
     for i in range(n):
         start = "I" if i % 2 == 0 else "C"
-        _, state = mock_reasoning_call(spec, "refine", start, seed=i)
-        if state != start:
+        if hidden_state(spec, mock_call(spec, "refine", start, seed=i)) != start:
             flips[start] += 1
     half = n // 2
     for start, p in (("I", 0.3), ("C", 0.1)):
@@ -129,7 +155,7 @@ def test_mock_verdict_rates():
     passes = {"I": 0, "C": 0}
     for i in range(n):
         state = "I" if i % 2 == 0 else "C"
-        response, _ = mock_reasoning_call(spec, "verify", state, seed=10_000_000 + i)
+        response = mock_call(spec, "verify", state, seed=10_000_000 + i)
         verdict = response.summary_text.rstrip()[-9:]
         if verdict.endswith("\\boxed{1}"):
             passes[state] += 1
@@ -143,7 +169,7 @@ def test_mock_wrong_answers_diverge():
     spec = make_spec(initial_correct_probability=0.0, wrong_answer_space=100)
     answers = collections.Counter()
     for seed in range(2000):
-        response, _ = mock_reasoning_call(spec, "solve", "I", seed=seed)
+        response = mock_call(spec, "solve", "I", seed=seed)
         answers[response.summary_text.split("\\boxed{")[1].rstrip("}")] += 1
     assert len(answers) == 100
     assert "60" not in answers
@@ -283,6 +309,18 @@ def test_http_timeout_on_every_attempt(http_backend):
         with pytest.raises(BackendTimeout):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
     assert len(server.requests) == 2
+
+
+def test_http_timeout_then_errors_is_unavailable(http_backend):
+    # one attempt timed out and the others failed otherwise: not a timeout.
+    # The deadline is long enough that a prompt 503 never misses it.
+    late = dict(completion("late \\boxed{1}"), delay_s=1.0)
+    with StubChatServer([late, 503, 503]) as server:
+        backend = http_backend(server.endpoint, timeout_s=0.5, max_attempts=3)
+        with pytest.raises(BackendUnavailable) as err:
+            backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert "HTTP 503" in str(err.value.__cause__)
+    assert len(server.requests) == 3
 
 
 def test_http_timeout_carries_trial_state_forward(http_backend):

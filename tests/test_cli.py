@@ -207,12 +207,14 @@ HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
     ("  max_iterations: 3", "  max_iterations: 2.5"),
     ("  max_iterations: 3", "  max_iterations: 3\n  accept_limit: 2.5"),
     ("  max_iterations: 3", "  max_iterations: 3\n  reject_limit: true"),
+    ("  beta: 0.8", "  beta: 0.8\n  wrong_answer_space: 2.5"),
+    ("  beta: 0.8", "  beta: 0.8\n  wrong_answer_space: true"),
 ], ids=["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
         "max_parse_retries_negative", "max_attempts_zero", "max_in_flight_zero",
         "rps_zero", "k_trials_float", "k_trials_bool", "parallelism_float",
         "run_seed_float", "max_iterations_float", "accept_limit_float",
-        "reject_limit_bool"])
+        "reject_limit_bool", "wrong_answer_space_float", "wrong_answer_space_bool"])
 def test_cli_run_rejects_invalid_values(workspace, old, new):
     # each value a dataclass or the integer check rejects is an invalid config
     # (exit 2), reported before a run directory is written
@@ -257,31 +259,41 @@ def test_cli_resume_uses_run_settings(workspace, monkeypatch):
     assert committed_view(RunStore(runs).load_run(run_id)[1]) == want
 
 
-def carry_forward_false(config):
-    config["controller"]["carry_forward_on_failure"] = False
+def carry_forward_false(manifest):
+    manifest["config"]["controller"]["carry_forward_on_failure"] = False
 
 
-def unknown_controller_key(config):
-    config["controller"]["bogus"] = 1
+def unknown_controller_key(manifest):
+    manifest["config"]["controller"]["bogus"] = 1
 
 
-def backend_max_attempts_zero(config):
+def backend_max_attempts_zero(manifest):
+    config = manifest["config"]
     del config["mock"]
     config["backend"] = {"endpoint": "http://127.0.0.1:9/v1", "model": "m",
                          "max_attempts": 0}
 
 
+def empty_statement(manifest):
+    manifest["problems"][0]["statement"] = ""
+
+
+def unknown_prompts_key(manifest):
+    manifest["config"]["prompts"]["bogus"] = "x"
+
+
 @pytest.mark.parametrize("edit", [carry_forward_false, unknown_controller_key,
-                                  backend_max_attempts_zero],
+                                  backend_max_attempts_zero, empty_statement,
+                                  unknown_prompts_key],
                          ids=lambda edit: edit.__name__)
 def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
-    # a manifest section that cannot build its config is an invalid config
-    # (exit 2), and the resume appends nothing to the log
+    # a manifest whose config sections or problems cannot build is an invalid
+    # config (exit 2), and the resume appends nothing to the log
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
     path = run_dir(runs, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
-    edit(manifest["config"])
+    edit(manifest)
     path.write_text(json.dumps(manifest))
     log = run_dir(runs, run_id) / "events.log"
     full = log.read_bytes()

@@ -69,8 +69,8 @@ class ScriptedBackend:
         text = self.texts.pop(0)
         from selfevolve.backend import strip_thinking
 
-        summary, malformed = strip_thinking(text)
-        return ReasoningResponse(full_text=text, summary_text=summary,
+        summary, thinking, malformed = strip_thinking(text)
+        return ReasoningResponse(full_text=text, summary_text=summary, thinking=thinking,
                                  prompt_tokens=len(request.context), completion_tokens=1,
                                  malformed_thinking=malformed)
 
