@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
-from .markov import TransitionParams
+from .markov import TransitionParams, _check_prob
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -292,9 +292,7 @@ class MockSpec:
 
     def __post_init__(self):
         for name in ("initial_correct_probability", "alpha", "beta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            _check_prob(name, getattr(self, name))
         space = self.wrong_answer_space
         if not isinstance(space, int) or isinstance(space, bool):
             raise ValueError(f"wrong_answer_space must be an integer, not {space!r}")
@@ -383,7 +381,7 @@ def mock_spec_from_dict(d: dict) -> MockSpec:
     or wrong_answer_space takes MockSpec's default."""
     return MockSpec(
         ground_truth=normalize_answer(str(d["ground_truth"])),
-        initial_correct_probability=float(d.get("initial_correct_probability", 0.0)),
-        transition=TransitionParams(p_ic=float(d["p_ic"]), p_ci=float(d["p_ci"])),
+        initial_correct_probability=d.get("initial_correct_probability", 0.0),
+        transition=TransitionParams(p_ic=d["p_ic"], p_ci=d["p_ci"]),
         **{k: d[k] for k in ("alpha", "beta", "wrong_answer_space") if k in d},
     )

@@ -1,13 +1,15 @@
 """The trial loop, shared by the fixed-horizon controller (DSER) and the
-verification-dependent accept/reject one (VERDEP), plus the parallel
-experiment driver.
+verification-dependent accept/reject one (VERDEP), plus the experiment
+driver.
 
 Every reasoning call context is exactly (q, s, p_v, v, p_r) or a prefix of
 it; earlier solutions never re-enter the context, so the process is Markov in
 the current solution. Calls within a trial are strictly sequential; trials
-are embarrassingly parallel. All randomness flows through per-call seeds
-derived from (run_seed, problem, trial, iteration, phase, attempt), which
-makes resumed execution reproduce the uninterrupted run exactly.
+are independent, so the driver overlaps them on threads when their calls wait
+(HTTP) and steps them in order when they do not (the mock). All randomness
+flows through per-call seeds derived from (run_seed, problem, trial,
+iteration, phase, attempt), which makes resumed execution reproduce the
+uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -279,15 +281,17 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
                    parallelism: int = 8, run_id: str | None = None,
                    config_snapshot: dict | None = None, config_hash: str = "",
                    store_sync: str = "always") -> str:
-    """Schedule problems x k_trials independent trials with bounded parallelism.
+    """Run problems x k_trials independent trials; at most parallelism
+    backend calls are in flight at once.
 
     The manifest's config is config_snapshot (its mock or backend section,
     say) with the controller and prompts sections written from config and
     prompts; the run then takes the path a resume takes, from an empty log.
-    backend is either a single backend object or anything with a
-    for_problem(problem) method returning one (the mock needs the per-problem
-    ground truth). Returns the run id; the manifest and event log are durable
-    and resumable at every point.
+    backend is either a single backend object, shared by parallelism threads,
+    or anything with a for_problem(problem) method returning one (the mock
+    needs the per-problem ground truth), whose trials run in order on the
+    calling thread. Returns the run id; the manifest and event log are
+    durable and resumable at every point.
     """
     if k_trials < 1:
         raise ValueError("k_trials must be >= 1")
@@ -359,16 +363,22 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
             return
         states = rebuild_trial_states(manifest, log.events)
 
+        per_problem = hasattr(backend, "for_problem")
+
         def worker(st: TrialState) -> None:
             problem = problems[st.problem_id]
-            trial_backend = (backend.for_problem(problem) if hasattr(backend, "for_problem")
-                             else backend)
-            run_trial(config, trial_backend, problem.statement, prompts, st.seed, log,
-                      state=st)
+            run_trial(config, backend.for_problem(problem) if per_problem else backend,
+                      problem.statement, prompts, st.seed, log, state=st)
 
         pending = [st for st in states.values() if st.status not in TERMINAL_STATUSES]
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            list(pool.map(worker, pending))
+        if per_problem:
+            # only the in-process mock needs each problem's answer, and its
+            # calls never wait: under the interpreter lock, threads only slow it
+            for st in pending:
+                worker(st)
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                list(pool.map(worker, pending))
         log.append("RunFinalized", {})
     finally:
         log.close()

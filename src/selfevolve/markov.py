@@ -29,8 +29,8 @@ class SingularChain(ValueError):
 
 
 def _check_prob(name: str, p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {p}")
+    if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"{name} must be a number in [0, 1], not {p!r}")
 
 
 @dataclass(frozen=True)

@@ -209,12 +209,21 @@ HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
     ("  max_iterations: 3", "  max_iterations: 3\n  reject_limit: true"),
     ("  beta: 0.8", "  beta: 0.8\n  wrong_answer_space: 2.5"),
     ("  beta: 0.8", "  beta: 0.8\n  wrong_answer_space: true"),
+    ("  initial_correct_probability: 0.5", "  initial_correct_probability: true"),
+    ("  alpha: 0.2", "  alpha: true"),
+    ("  beta: 0.8", "  beta: false"),
+    ("  p_ic: 0.3", "  p_ic: true"),
+    ("  p_ic: 0.3", '  p_ic: "0.3"'),
+    ("  p_ci: 0.1", '  p_ci: "0.1"'),
+    ("  alpha: 0.2", '  alpha: "0.2"'),
 ], ids=["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
         "max_parse_retries_negative", "max_attempts_zero", "max_in_flight_zero",
         "rps_zero", "k_trials_float", "k_trials_bool", "parallelism_float",
         "run_seed_float", "max_iterations_float", "accept_limit_float",
-        "reject_limit_bool", "wrong_answer_space_float", "wrong_answer_space_bool"])
+        "reject_limit_bool", "wrong_answer_space_float", "wrong_answer_space_bool",
+        "initial_correct_probability_bool", "alpha_bool", "beta_bool", "p_ic_bool",
+        "p_ic_string", "p_ci_string", "alpha_string"])
 def test_cli_run_rejects_invalid_values(workspace, old, new):
     # each value a dataclass or the integer check rejects is an invalid config
     # (exit 2), reported before a run directory is written

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shutil
+import threading
+import time
 
 import pytest
 
@@ -343,10 +345,10 @@ def test_trial_loop_edges(config, spec, prefix, n_records, status, calls):
 
 def run_mock_experiment(tmp_path, *, k=4, horizon=5, run_seed=7, kind=DSER,
                         parallelism=4, spec=None, problems=None,
-                        store_sync="always"):
+                        store_sync="always", backend=None):
     store = RunStore(tmp_path / "runs")
     spec = spec or make_spec()
-    backend = MockBackendProvider(spec)
+    backend = backend or MockBackendProvider(spec)
     if problems is None:
         problems = [Problem("p0", "what is the answer?", AnswerKey("60"))]
     config = ControllerConfig(kind=kind, max_iterations=horizon)
@@ -371,13 +373,59 @@ def test_run_experiment_completes_all_trials(tmp_path):
 
 
 def test_run_experiment_deterministic_across_parallelism(tmp_path):
+    # a plain backend's trials interleave on 8 threads; the provider's run in
+    # order on one
     store1, id1 = run_mock_experiment(tmp_path / "a", parallelism=1)
-    store2, id2 = run_mock_experiment(tmp_path / "b", parallelism=8)
+    plain = MockBackendProvider(make_spec()).for_problem(
+        Problem("p0", "what is the answer?", AnswerKey("60")))
+    store2, id2 = run_mock_experiment(tmp_path / "b", parallelism=8, backend=plain)
     _, states1 = store1.load_run(id1)
     _, states2 = store2.load_run(id2)
     for tid in states1:
         assert ([r.to_dict() for r in states1[tid].records] ==
                 [r.to_dict() for r in states2[tid].records])
+
+
+def test_provider_trials_run_on_calling_thread(tmp_path):
+    threads = set()
+
+    class ThreadRecorder:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def for_problem(self, problem):
+            return ThreadRecorder(self.inner.for_problem(problem))
+
+        def reasoning_call(self, request):
+            threads.add(threading.get_ident())
+            return self.inner.reasoning_call(request)
+
+    run_mock_experiment(tmp_path, parallelism=4,
+                        backend=ThreadRecorder(MockBackendProvider(make_spec())))
+    assert threads == {threading.get_ident()}
+
+
+def test_plain_backend_fills_parallelism_slots(tmp_path):
+    class Blocking:
+        """Sleeps in every call, counting the calls in flight."""
+
+        def __init__(self):
+            self.inner = MockBackend(make_spec())
+            self.lock = threading.Lock()
+            self.in_flight = self.peak = 0
+
+        def reasoning_call(self, request):
+            with self.lock:
+                self.in_flight += 1
+                self.peak = max(self.peak, self.in_flight)
+            time.sleep(0.02)
+            with self.lock:
+                self.in_flight -= 1
+            return self.inner.reasoning_call(request)
+
+    backend = Blocking()
+    run_mock_experiment(tmp_path, k=6, horizon=2, parallelism=3, backend=backend)
+    assert backend.peak == 3
 
 
 def test_rebuild_matches_live_states(tmp_path):
