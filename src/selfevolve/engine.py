@@ -24,7 +24,7 @@ from math import inf
 from .answers import AnswerKey, extract_answer, normalize_answer
 from .backend import BackendError, ReasoningRequest, ResponseTruncated
 from .seeds import derive_seed
-from .store import Event, RunLog, RunStore
+from .store import CorruptLog, Event, RunLog, RunStore
 
 DEFAULT_SOLVE_PROMPT = (
     "Solve the following problem step by step. "
@@ -253,7 +253,8 @@ def trial_seed(run_seed: int, problem_id: str, trial_index: int) -> int:
 
 
 def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str, int], TrialState]:
-    """Reconstruct all trial states purely from committed events."""
+    """Reconstruct all trial states purely from committed events; an event of
+    an unknown trial, or one whose payload cannot build, is a corrupt log."""
     run_seed = manifest["run_seed"]
     controller = manifest["config"]["controller"]["kind"]
     states: dict[tuple[str, int], TrialState] = {}
@@ -263,16 +264,19 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
             states[tid] = TrialState(
                 problem_id=p["id"], trial_index=t, controller=controller,
                 seed=trial_seed(run_seed, p["id"], t))
-    for ev in events:
-        if ev.trial_id is None or ev.trial_id not in states:
+    for i, ev in enumerate(events):
+        if ev.trial_id is None:
             continue
-        st = states[ev.trial_id]
-        if ev.kind == "IterationCommitted":
-            record = IterationRecord(**ev.payload["record"])
-            if record.index == len(st.records):
-                st.records.append(record)
-        elif ev.kind == "TrialExited":
-            st.status = ev.payload["status"]
+        try:
+            st = states[ev.trial_id]
+            if ev.kind == "IterationCommitted":
+                record = IterationRecord(**ev.payload["record"])
+                if record.index == len(st.records):
+                    st.records.append(record)
+            elif ev.kind == "TrialExited":
+                st.status = ev.payload["status"]
+        except (KeyError, TypeError) as e:
+            raise CorruptLog(f"event seq {ev.seq} does not build: {e!r}", i) from e
     return states
 
 
@@ -354,7 +358,7 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
 
     The controller, prompts and problems come from the manifest alone. The
     log is read once, by the append handle, and the trial states are rebuilt
-    from the events it parsed (none for a fresh run).
+    from the events it parsed (none for a fresh run), which are then dropped.
     """
     config, prompts, problems = run_inputs(manifest)
     log = store.open_log(run_id, sync=store_sync)
@@ -362,6 +366,7 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
         if log.finalized:
             return
         states = rebuild_trial_states(manifest, log.events)
+        log.events = []
 
         per_problem = hasattr(backend, "for_problem")
 

@@ -4,8 +4,10 @@ Layout: <root>/<run_id>/manifest.json plus <root>/<run_id>/events.log with one
 JSON record per line. Appends are serialized by a single writer lock; an
 IterationCommitted event is the sole authority for a record's existence, so a
 crash mid-iteration simply loses that iteration and nothing else. A trailing
-partial line is treated as an interrupted write and discarded on load;
-anything else malformed is a corrupt log.
+partial line, or an unparseable last line, is treated as an interrupted write
+and discarded on load; anything else malformed is a corrupt log. Reads stream
+the log one line at a time and keep only the parsed events; an append handle
+keeps none once its opener has rebuilt the trials from them.
 
 Schema 2 appends one IterationCommitted {record, calls} per iteration, then
 TrialExited and RunFinalized; schema 1 logs, which also hold per-call events,
@@ -56,9 +58,11 @@ def run_dir(root: str | Path, run_id: str) -> Path:
 class RunLog:
     """Single-writer append handle for one run's event log.
 
-    sync="always" fsyncs every append; "flush" never fsyncs. Both keep strict
-    prefix semantics under truncation. The events parsed when an existing log
-    is opened stay in `events`, so a resume reads the log once.
+    sync="always" fsyncs every append; "flush" leaves appends to the OS. In
+    both modes, opening a log fsyncs the truncation of an interrupted tail, and
+    strict prefix semantics hold under truncation. The events parsed on open
+    are in `events` until the opener drops them, so a resume reads the log
+    once and holds the parse only while it rebuilds.
     """
 
     def __init__(self, path: Path, sync: str = "always"):
@@ -117,34 +121,39 @@ class RunLog:
         self._fh.close()
 
 
+_decode = json.JSONDecoder().decode
+
+
 def _read_events(path: Path) -> tuple[list[Event], int]:
-    """Parse the log; returns (events, byte length of the valid prefix)."""
+    """Parse the log a line at a time; returns (events, byte length of the
+    valid prefix)."""
     events: list[Event] = []
-    raw = path.read_bytes()
-    lines = raw.split(b"\n")
-    body, tail = lines[:-1], lines[-1]  # tail is b"" unless the last write was cut
-    for i, line in enumerate(body):
-        try:
-            d = json.loads(line)
-            ev = Event(
-                seq=d["seq"],
-                trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
-                kind=d["kind"],
-                payload=d["payload"],
-                ts=d["ts"],
-            )
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
-            if i == len(body) - 1 and not tail:
-                # interrupted final write without newline elsewhere; discard
-                return events, len(raw) - len(line) - 1
-            raise CorruptLog(f"unparseable event at line {i + 1}: {e}", len(events)) from e
-        expected = events[-1].seq + 1 if events else ev.seq
-        if ev.seq != expected:
-            raise CorruptLog(
-                f"sequence gap: expected {expected}, found {ev.seq}", len(events)
-            )
-        events.append(ev)
-    return events, len(raw) - len(tail)
+    valid = 0
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break  # the last write was cut
+            try:
+                d = _decode(line.decode("utf-8"))
+                ev = Event(
+                    seq=d["seq"],
+                    trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
+                    kind=d["kind"],
+                    payload=d["payload"],
+                    ts=d["ts"],
+                )
+            except (ValueError, KeyError, TypeError) as e:
+                if not fh.read(1):
+                    break  # an unparseable last line is an interrupted write
+                raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
+            expected = events[-1].seq + 1 if events else ev.seq
+            if ev.seq != expected:
+                raise CorruptLog(
+                    f"sequence gap: expected {expected}, found {ev.seq}", len(events)
+                )
+            events.append(ev)
+            valid += len(line)
+    return events, valid
 
 
 class RunStore:

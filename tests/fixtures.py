@@ -1,5 +1,9 @@
 """Transcript fixtures for the answer pipeline: two solve/verify/refine case
-blocks in the style of real model output, including colored boxed answers."""
+blocks in the style of real model output, including colored boxed answers.
+Also edits that turn one IterationCommitted line of an event log into a line
+that does not decode, parse or build its record."""
+
+import json
 
 PENTAGON_PROBLEM = (
     "Let $ABCDE$ be a convex pentagon with $AB=14, BC=7, CD=24, DE=13, EA=26,$ "
@@ -59,3 +63,22 @@ CASE_BLOCKS = [
     (CASE_1_SOLUTION, CASE_1_VERIFY, CASE_1_REFINE),
     (CASE_2_SOLUTION, CASE_2_VERIFY, CASE_2_REFINE),
 ]
+
+
+def _edit_event(change):
+    def edit(line: bytes) -> bytes:
+        event = json.loads(line)
+        change(event)
+        return json.dumps(event, separators=(",", ":")).encode()
+    return edit
+
+
+# name -> edit of one log line, given and returned without its newline
+CORRUPT_LINE_EDITS = {
+    "garbage": lambda line: b"garbage",
+    "undecodable": lambda line: line.replace(b'"kind":"', b'"kind":"\xff', 1),
+    "payload_list": _edit_event(lambda e: e.update(payload=[])),
+    "record_unknown_key": _edit_event(lambda e: e["payload"]["record"].update(bogus=1)),
+    "record_missing_key": _edit_event(lambda e: e["payload"]["record"].pop("solution_text")),
+    "trial_string": _edit_event(lambda e: e.update(trial="p0")),
+}

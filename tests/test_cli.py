@@ -14,6 +14,8 @@ from selfevolve.cli import main
 from selfevolve.config import ConfigInvalid, RunConfig, config_hash, load_problems
 from selfevolve.store import RunStore, run_dir
 
+from fixtures import CORRUPT_LINE_EDITS
+
 
 BASE_CONFIG = """\
 mock:
@@ -359,15 +361,32 @@ def test_cli_analyze_dser_writes_no_exit_ratios(workspace):
     assert not list((workspace / "a").glob("exit_ratios_*"))
 
 
-def test_cli_analyze_corrupt_log(workspace):
+@pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
+def test_cli_analyze_corrupt_log(workspace, edit):
     run_id = run_cli_experiment(workspace)
     log = run_dir(workspace / "out" / "runs", run_id) / "events.log"
-    lines = log.read_text().splitlines()
-    lines[2] = "garbage"
-    log.write_text("\n".join(lines) + "\n")
+    lines = log.read_bytes().splitlines()
+    lines[2] = edit(lines[2])
+    log.write_bytes(b"\n".join(lines) + b"\n")
     result = invoke("analyze", run_id, "--runs-dir", workspace / "out" / "runs",
                     "--out", workspace / "a")
-    assert result.exit_code == 4
+    assert result.exit_code == 4, result.output
+
+
+@pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
+def test_cli_resume_corrupt_log(workspace, edit):
+    # the resume of a cut log with a corrupt middle line exits 4 and leaves
+    # the log as it was
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    lines = log.read_bytes().splitlines()[:5]
+    lines[2] = edit(lines[2])
+    cut = b"\n".join(lines) + b"\n"
+    log.write_bytes(cut)
+    result = invoke("resume", run_id, "--runs-dir", runs)
+    assert result.exit_code == 4, result.output
+    assert log.read_bytes() == cut
 
 
 def test_cli_verdep_run_emits_exit_ratios(workspace):

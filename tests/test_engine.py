@@ -3,6 +3,7 @@ import json
 import shutil
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -544,6 +545,53 @@ def test_resume_uses_run_prompts(tmp_path):
     copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2])
     resume_experiment(copy, run_id, MockBackendProvider(spec))
     assert committed_view(copy.load_run(run_id)[1]) == want
+
+
+class BulkyThinking:
+    """Passes every verdict, with 32 KB of thinking per call: a commit's
+    calls carry about what a real reasoner's do."""
+
+    THINKING = "x" * 32_768
+
+    def reasoning_call(self, request):
+        return ReasoningResponse(full_text="", summary_text="\\boxed{1}",
+                                 thinking=self.THINKING)
+
+
+class ProbeStop(Exception):
+    pass
+
+
+def test_reads_hold_the_parsed_log_once(tmp_path):
+    # 300 commits of ~64 KB each: a load holds the parsed log, not the bytes
+    # and their split copy besides, and a resume drops it before its first call
+    store = RunStore(tmp_path / "runs")
+    run_id = run_experiment([Problem("p0", "q", AnswerKey("60"))], 3,
+                            ControllerConfig(kind=DSER, max_iterations=99),
+                            BulkyThinking(), PROMPTS, 1, store, parallelism=1,
+                            store_sync="flush")
+    full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
+    size = len(full)
+    assert size > 19_000_000
+    copy = cut_copy(store, run_id, tmp_path / "cut", full[:size * 9 // 10])
+    del full
+    first_call = []
+
+    class Probe:
+        def reasoning_call(self, request):
+            first_call.append(tracemalloc.get_traced_memory()[0])
+            raise ProbeStop
+
+    tracemalloc.start()
+    try:
+        store.load_run(run_id)
+        load_peak = tracemalloc.get_traced_memory()[1]
+        with pytest.raises(ProbeStop):
+            resume_experiment(copy, run_id, Probe(), parallelism=1)
+    finally:
+        tracemalloc.stop()
+    assert load_peak < 2 * size
+    assert first_call[0] < size / 2
 
 
 def old_manifest_copy(tmp_path, carry_forward):

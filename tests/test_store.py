@@ -1,3 +1,5 @@
+import builtins
+import io
 import json
 from pathlib import Path
 
@@ -11,6 +13,8 @@ from selfevolve.store import (
     StoreUnavailable,
     run_dir,
 )
+
+from fixtures import CORRUPT_LINE_EDITS
 
 
 MANIFEST = {
@@ -116,18 +120,43 @@ def test_sequence_gap_is_corrupt(tmp_path):
     assert err.value.valid_prefix_events == 1
 
 
-def test_garbage_mid_log_is_corrupt(tmp_path):
+@pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
+def test_garbage_mid_log_is_corrupt(tmp_path, edit):
+    # a middle line that does not decode, parse or build its record is a
+    # corrupt log, whose message names the line or the event's seq
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    for i in range(3):
+        log.append("IterationCommitted", {"record": {"index": i, "solution_text": "s"},
+                                          "calls": []}, trial_id=("p0", 0))
+    log.close()
+    path = run_dir(store.root, "r1") / "events.log"
+    lines = path.read_bytes().splitlines()
+    lines[1] = edit(lines[1])
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(CorruptLog) as err:
+        store.load_run("r1")
+    assert err.value.valid_prefix_events == 1
+    assert "line 2" in str(err.value) or "seq 2" in str(err.value)
+
+
+def test_undecodable_last_line_discarded(tmp_path):
+    # a last line that is not UTF-8 is an interrupted write, like any other
+    # unparseable last line: reads drop it and a writer truncates it
     store = make_store(tmp_path)
     log = store.open_log("r1")
     for kind in ("A", "B", "C"):
         log.append(kind, {})
     log.close()
     path = run_dir(store.root, "r1") / "events.log"
-    lines = path.read_text().splitlines()
-    lines[1] = "not json"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CorruptLog):
-        store.events("r1")
+    lines = path.read_bytes().splitlines(keepends=True)
+    valid = b"".join(lines[:2])
+    path.write_bytes(valid + CORRUPT_LINE_EDITS["undecodable"](lines[2]))
+    assert [e.kind for e in store.events("r1")] == ["A", "B"]
+    log = store.open_log("r1")
+    assert path.read_bytes() == valid
+    assert log.append("C", {}) == 3
+    log.close()
 
 
 def test_any_prefix_loads(tmp_path):
@@ -172,10 +201,19 @@ def test_open_cut_log_reads_once(tmp_path, monkeypatch, tail):
     valid = path.read_bytes()
     path.write_bytes(valid + tail)
     reads = []
-    read_bytes = Path.read_bytes
-    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+    real_open = io.open
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)) and Path(file) == path and "r" in mode and "+" not in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    # Path.open goes through io.open, the log reader through builtins.open
+    monkeypatch.setattr(io, "open", spy_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
     log = store.open_log("r1")
-    assert reads == [path]
+    monkeypatch.undo()
+    assert reads == ["rb"]
     assert path.read_bytes() == valid
     assert log.append("C", {}) == 3
     log.close()
