@@ -15,6 +15,7 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
@@ -275,6 +276,13 @@ class HttpBackend:
 WRONG_ANSWER_BASE = 100_000
 
 
+@lru_cache(maxsize=256)
+def _word_count(text: str) -> int:
+    """Whitespace word count, the mock's token count. Memoized: the mock
+    sees the same prompts, questions and summaries over and over."""
+    return len(text.split())
+
+
 @dataclass(frozen=True)
 class MockSpec:
     """Markov parameterization of a simulated reasoner.
@@ -350,11 +358,13 @@ class MockBackend:
             thinking = f"working on it (trace {seed})"
             summary = ("After reworking the key steps, the result follows.\n"
                        f"Final answer: \\boxed{{{answer}}}")
-        full = f"{THINK_OPEN}{thinking}{THINK_CLOSE}\n{summary}"
+        # the delimiters join the thinking's end words; the thinking holds the
+        # seed, so only the summary's count is memoized
         return ReasoningResponse(
-            full_text=full, summary_text=summary, thinking=thinking,
-            prompt_tokens=sum(len(segment.split()) for segment in context),
-            completion_tokens=len(full.split()))
+            full_text=f"{THINK_OPEN}{thinking}{THINK_CLOSE}\n{summary}",
+            summary_text=summary, thinking=thinking,
+            prompt_tokens=sum(map(_word_count, context)),
+            completion_tokens=len(thinking.split()) + _word_count(summary))
 
 
 class MockBackendProvider:

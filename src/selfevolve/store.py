@@ -106,7 +106,7 @@ class RunLog:
                 "payload": payload,
             }
             try:
-                self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+                self._fh.write(_encode(record) + "\n")
                 self._fh.flush()
                 if self._sync == "always":
                     os.fsync(self._fh.fileno())
@@ -121,6 +121,8 @@ class RunLog:
         self._fh.close()
 
 
+# the engine's payloads hold no cycles, and skipping the check is faster
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _decode = json.JSONDecoder().decode
 
 
@@ -135,6 +137,8 @@ def _read_events(path: Path) -> tuple[list[Event], int]:
                 break  # the last write was cut
             try:
                 d = _decode(line.decode("utf-8"))
+                if type(d["seq"]) is not int:  # a bool or a float too
+                    raise TypeError(f"seq {d['seq']!r} is not an integer")
                 ev = Event(
                     seq=d["seq"],
                     trial_id=tuple(d["trial"]) if d["trial"] is not None else None,

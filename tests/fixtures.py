@@ -81,4 +81,8 @@ CORRUPT_LINE_EDITS = {
     "record_unknown_key": _edit_event(lambda e: e["payload"]["record"].update(bogus=1)),
     "record_missing_key": _edit_event(lambda e: e["payload"]["record"].pop("solution_text")),
     "trial_string": _edit_event(lambda e: e.update(trial="p0")),
+    "seq_string": _edit_event(lambda e: e.update(seq=str(e["seq"]))),
+    "seq_float": _edit_event(lambda e: e.update(seq=float(e["seq"]))),
+    "seq_bool": _edit_event(lambda e: e.update(seq=True)),
+    "seq_null": _edit_event(lambda e: e.update(seq=None)),
 }

@@ -65,6 +65,7 @@ def report(capsys, label: str, passed: bool, detail: str = "") -> None:
 
 
 # 1. stationary law of the two-state solve/refine chain vs Monte Carlo
+@pytest.mark.slow
 def test_stationary_law_monte_carlo(capsys):
     t0 = time.perf_counter()
     grid = [(p_ic, p_ci)
@@ -109,6 +110,7 @@ def test_mixing_rate_decay(capsys):
 
 
 # 3. absorbing-chain exit split: closed form vs 10^6-sample simulation
+@pytest.mark.slow
 def test_absorption_split_vs_simulation(capsys):
     rng = random.Random(2024)
     worst = 0.0
@@ -195,6 +197,7 @@ def test_fixed_horizon_convergence(capsys):
 
 
 # 6. majority vote rescues a minority-correct regime with scattered errors
+@pytest.mark.slow
 def test_consistency_rescues_low_accuracy(capsys):
     truth = AnswerKey("60")
     spec = make_spec(0.2, 0.3, space=100)

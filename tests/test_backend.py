@@ -134,6 +134,21 @@ def test_mock_full_text_splits_into_summary_and_thinking(kind, state):
         assert strip_thinking(r.full_text) == (r.summary_text, r.thinking, False)
 
 
+@pytest.mark.parametrize("kind,segments", [("solve", 2), ("verify", 3), ("refine", 5)])
+def test_mock_token_counts_are_word_counts(kind, segments):
+    # the counts come through a bounded memo: over twice as many distinct
+    # texts as it holds, each seen twice, and over runs of spaces, tabs and
+    # newlines, they stay the whitespace word counts
+    backend = MockBackend(make_spec(wrong_answer_space=10_000))
+    distinct = 2 * backend_module._word_count.cache_info().maxsize
+    for i in list(range(distinct)) * 2:
+        context = tuple(f"  {kind} segment {j}\t\t{i}\n\nwords:{' w' * (i % 7)} \n"
+                        for j in range(segments))
+        r = backend.reasoning_call(ReasoningRequest(context, request_seed=i))
+        assert r.prompt_tokens == sum(len(s.split()) for s in context)
+        assert r.completion_tokens == len(r.full_text.split())
+
+
 def test_mock_refine_transition_faithfulness():
     # pooled refine transitions reproduce (p_ic, p_ci) within 3 standard errors
     spec = make_spec(transition=TransitionParams(p_ic=0.3, p_ci=0.1))

@@ -45,6 +45,21 @@ def test_append_sequence_increases(tmp_path):
     assert [e.seq for e in events] == [s1, s2]
 
 
+def test_append_line_is_compact_json(tmp_path):
+    # a line is what json.dumps writes with compact separators: ASCII escapes
+    # for non-ASCII text and U+2028, keys in insertion order, floats by repr
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    payload = {"record": {"solution_text": 'say "60" \\boxed{60}', "score": 0.1 + 0.2},
+               "calls": [{"thinking": "Σ café — line\u2028sep 🙂", "phase": "solve"}]}
+    log.append("IterationCommitted", payload, trial_id=("p0", 1))
+    log.close()
+    line = (run_dir(store.root, "r1") / "events.log").read_bytes().decode("ascii")
+    record = {"seq": 1, "ts": json.loads(line)["ts"], "trial": ["p0", 1],
+              "kind": "IterationCommitted", "payload": payload}
+    assert line == json.dumps(record, separators=(",", ":")) + "\n"
+
+
 def test_append_durable_without_close(tmp_path):
     # event readable through a fresh handle before the writer closes
     store = make_store(tmp_path)
@@ -157,6 +172,28 @@ def test_undecodable_last_line_discarded(tmp_path):
     assert path.read_bytes() == valid
     assert log.append("C", {}) == 3
     log.close()
+
+
+SEQ_EDITS = {name: edit for name, edit in CORRUPT_LINE_EDITS.items() if name.startswith("seq_")}
+
+
+@pytest.mark.parametrize("edit", SEQ_EDITS.values(), ids=SEQ_EDITS.keys())
+def test_non_integer_seq_first_and_last_line(tmp_path, edit):
+    # a seq that is not an int makes its line unparseable: a corrupt log as
+    # the first line, an interrupted write as the last
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    for kind in ("A", "B", "C"):
+        log.append(kind, {})
+    log.close()
+    path = run_dir(store.root, "r1") / "events.log"
+    lines = path.read_bytes().splitlines()
+    path.write_bytes(b"\n".join([edit(lines[0])] + lines[1:]) + b"\n")
+    with pytest.raises(CorruptLog, match="line 1") as err:
+        store.events("r1")
+    assert err.value.valid_prefix_events == 0
+    path.write_bytes(b"\n".join(lines[:2] + [edit(lines[2])]) + b"\n")
+    assert [e.kind for e in store.events("r1")] == ["A", "B"]
 
 
 def test_any_prefix_loads(tmp_path):
