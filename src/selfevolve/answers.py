@@ -26,9 +26,6 @@ class AnswerKey:
 
     canonical: str
 
-    def __str__(self) -> str:
-        return self.canonical
-
 
 def _strip_wrappers(s: str) -> str:
     while True:

@@ -8,7 +8,6 @@ The raw text and the thinking are kept on the response for persistence.
 from __future__ import annotations
 
 import dataclasses
-import http.client
 import json
 import os
 import random
@@ -137,6 +136,7 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig):
+        import http.client
         self.config = config
         url = urlsplit(config.endpoint)
         self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
@@ -147,6 +147,7 @@ class HttpBackend:
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
+        self._connection_errors = (OSError, http.client.HTTPException)
         self._inflight = threading.Semaphore(config.max_in_flight)
         self._rate_lock = threading.Lock()
         self._next_allowed = 0.0
@@ -222,7 +223,7 @@ class HttpBackend:
                 started = time.monotonic()
                 try:
                     status, data = self._post(payload)
-                except (OSError, http.client.HTTPException) as e:
+                except self._connection_errors as e:
                     last_error = e
                     timeouts += isinstance(e, TimeoutError)
                     continue

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 56
+
+
+def escape(text: str) -> str:
+    """Escape `&`, `<` and `>` in `text` as xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def render_line_chart(series: dict[str, list[tuple[float, float]]], title: str = "") -> str:

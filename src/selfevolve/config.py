@@ -20,8 +20,6 @@ import hashlib
 import json
 from pathlib import Path
 
-import yaml
-
 from .answers import normalize_answer
 from .backend import BackendConfig, HttpBackend, MockBackendProvider, mock_spec_from_dict
 from .engine import ControllerConfig, Problem, PromptSet, run_inputs
@@ -148,6 +146,7 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
+        import yaml
         path = Path(path)
         try:
             raw = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -197,6 +196,7 @@ def build_backend_from_manifest(manifest: dict):
 
 
 def load_problems(path: str | Path) -> list[Problem]:
+    import yaml  # bound before the try: its except clause names yaml.YAMLError
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")

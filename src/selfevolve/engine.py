@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import inf
 
@@ -382,6 +381,7 @@ def _run(store: RunStore, run_id: str, manifest: dict, backend,
             for st in pending:
                 worker(st)
         else:
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 list(pool.map(worker, pending))
         log.append("RunFinalized", {})

@@ -150,7 +150,7 @@ def _read_events(path: Path) -> tuple[list[Event], int]:
                 if not fh.read(1):
                     break  # an unparseable last line is an interrupted write
                 raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-            expected = events[-1].seq + 1 if events else ev.seq
+            expected = events[-1].seq + 1 if events else 1
             if ev.seq != expected:
                 raise CorruptLog(
                     f"sequence gap: expected {expected}, found {ev.seq}", len(events)

@@ -1,6 +1,9 @@
 from xml.dom import minidom
+from xml.sax.saxutils import escape as sax_escape
 
-from selfevolve.charts import render_line_chart
+import pytest
+
+from selfevolve.charts import escape, render_line_chart
 
 
 def test_svg_escapes_text():
@@ -10,3 +13,13 @@ def test_svg_escapes_text():
     texts = [t.firstChild.data for t in doc.getElementsByTagName("text") if t.firstChild]
     assert "accuracy over iterations: p<1>&\"q\"" in texts
     assert "a<b & c" in texts
+
+
+@pytest.mark.parametrize("text", [
+    "", "plain", "a<b & c", "p<1>&\"q\"", "it's <'quoted'>", "&amp; &lt;&gt;",
+    ">>&&<<", "Genauigkeit ≥ 0.5 · naïve <π> & 日本語",
+])
+def test_escape_matches_saxutils(text):
+    assert escape(text) == sax_escape(text)
+    svg = render_line_chart({text: [(0, 0.1), (1, 0.9)]}, title=text)
+    assert svg.count(f">{sax_escape(text)}</text>") == 2

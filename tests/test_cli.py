@@ -389,6 +389,22 @@ def test_cli_resume_corrupt_log(workspace, edit):
     assert log.read_bytes() == cut
 
 
+def test_cli_refuses_log_without_its_first_events(workspace):
+    # a cut log whose first two lines are gone starts at seq 3: analyze and
+    # resume exit 4, and the log, its interrupted tail too, stays as it was
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    lines = log.read_bytes().splitlines(keepends=True)
+    headless = b"".join(lines[2:5]) + lines[5][:10]
+    log.write_bytes(headless)
+    result = invoke("analyze", run_id, "--runs-dir", runs, "--out", workspace / "a")
+    assert result.exit_code == 4, result.output
+    result = invoke("resume", run_id, "--runs-dir", runs)
+    assert result.exit_code == 4, result.output
+    assert log.read_bytes() == headless
+
+
 def test_cli_verdep_run_emits_exit_ratios(workspace):
     text = BASE_CONFIG.replace("kind: dser", "kind: verdep")
     text = text.replace("max_iterations: 3", "max_iterations: 30")

@@ -1,12 +1,30 @@
-"""The program's import paths load neither numpy nor requests."""
+"""The program's import paths load neither numpy nor requests, nor what only
+some commands use: the HTTP client, the YAML parser, the thread pool, and the
+XML and email packages that `xml.sax.saxutils` would pull in."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from selfevolve.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+NOT_LOADED = ("numpy", "requests", "http.client", "yaml", "concurrent.futures", "xml.sax",
+              "urllib.request", "email")
+
+
+def loaded_after(code: str) -> str:
+    """The NOT_LOADED modules a fresh interpreter holds after running code."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}; "
+            f"print(sorted(set({NOT_LOADED!r}) & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip().splitlines()[-1]
 
 
 @pytest.mark.parametrize("modules", [
@@ -14,9 +32,21 @@ SRC = Path(__file__).resolve().parent.parent / "src"
     ("selfevolve.backend", "selfevolve.engine"),  # what bench/stub.py imports
 ], ids=["cli", "backend_engine"])
 def test_no_numpy_or_requests_on_import(modules):
-    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-            + "".join(f"import {m}; " for m in modules)
-            + "print(sorted({'numpy', 'requests'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "[]"
+    assert loaded_after("; ".join(f"import {m}" for m in modules)) == "[]"
+
+
+def test_analyze_loads_none_of_them(tmp_path):
+    (tmp_path / "problems.json").write_text(json.dumps(
+        [{"id": "p0", "statement": "what is 59+1?", "answer": "60"}]))
+    (tmp_path / "config.yaml").write_text(
+        "mock: {ground_truth: '60', initial_correct_probability: 0.5, p_ic: 0.3, p_ci: 0.1}\n"
+        "controller: {kind: dser, max_iterations: 3}\n"
+        "experiment: {problems: problems.json, k_trials: 2, run_seed: 11}\n")
+    result = CliRunner().invoke(main, ["run", str(tmp_path / "config.yaml")])
+    assert result.exit_code == 0, result.output
+    run_id = result.output.strip().splitlines()[-1]
+    args = ["analyze", run_id, "--runs-dir", str(tmp_path / "out" / "runs"),
+            "--out", str(tmp_path / "a")]
+    code = f"from selfevolve.cli import main; main({args!r}, standalone_mode=False)"
+    assert loaded_after(code) == "[]"
+    assert (tmp_path / "a" / "metrics_p0.csv").exists()

@@ -135,6 +135,26 @@ def test_sequence_gap_is_corrupt(tmp_path):
     assert err.value.valid_prefix_events == 1
 
 
+def test_log_without_its_first_events_is_corrupt(tmp_path):
+    # a log whose first event is not seq 1 lost its head: reads refuse it, and
+    # so does a writer, before it truncates the interrupted tail
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    for kind in ("A", "B", "C", "D"):
+        log.append(kind, {})
+    log.close()
+    path = run_dir(store.root, "r1") / "events.log"
+    lines = path.read_bytes().splitlines(keepends=True)
+    headless = b"".join(lines[2:]) + b'{"seq":5,"ts":1,"tr'
+    path.write_bytes(headless)
+    with pytest.raises(CorruptLog, match="expected 1, found 3") as err:
+        store.events("r1")
+    assert err.value.valid_prefix_events == 0
+    with pytest.raises(CorruptLog):
+        store.open_log("r1")
+    assert path.read_bytes() == headless
+
+
 @pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
 def test_garbage_mid_log_is_corrupt(tmp_path, edit):
     # a middle line that does not decode, parse or build its record is a
