@@ -127,6 +127,13 @@ class BackendConfig:
             raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
 
 
+def _token_count(value) -> int:
+    """A usage count the log can round-trip: a JSON int, not a bool, in [0, 2**63)."""
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"token count {value!r} is not an integer in [0, 2**63)")
+    return value
+
+
 class HttpBackend:
     """Chat-completion client with retry/backoff, an in-flight cap, and an rps limit.
 
@@ -240,8 +247,8 @@ class HttpBackend:
                     if not isinstance(full_text, str):
                         raise TypeError(f"content is {full_text!r}")
                     usage = completion.get("usage") or {}
-                    prompt_tokens = int(usage.get("prompt_tokens", 0))
-                    completion_tokens = int(usage.get("completion_tokens", 0))
+                    prompt_tokens = _token_count(usage.get("prompt_tokens", 0))
+                    completion_tokens = _token_count(usage.get("completion_tokens", 0))
                 except (ValueError, LookupError, TypeError, AttributeError) as e:
                     # a 200 whose body is not a completion is retried like a 5xx
                     last_error = BackendError(f"malformed response body: {e!r}")

@@ -27,6 +27,15 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
+def _manifest(store: RunStore, run_id: str) -> dict:
+    """run_id's manifest; ConfigDrift when its config no longer hashes to the
+    config_hash written with it. An API run writes "" and is not checked."""
+    manifest = store.manifest(run_id)
+    if manifest.get("config_hash") and config_hash(manifest["config"]) != manifest["config_hash"]:
+        raise ConfigDrift("manifest config differs from its config_hash")
+    return manifest
+
+
 def _closing(backend):
     """A context that closes backend's connections on exit, if it has any."""
     return closing(backend) if isinstance(backend, HttpBackend) else nullcontext()
@@ -71,7 +80,7 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
     try:
         store = RunStore(runs_dir)
-        manifest = store.manifest(run_id)
+        manifest = _manifest(store, run_id)
         if config_path is not None:
             cfg = RunConfig.load(config_path)
             if config_hash(cfg.snapshot()) != manifest["config_hash"]:
@@ -101,7 +110,10 @@ def cmd_analyze(run_id, runs_dir, out_dir):
     iteration each problem's trials have all reached."""
     try:
         store = RunStore(runs_dir)
+        _manifest(store, run_id)
         written = write_run_reports(store, run_id, out_dir)
+    except ConfigDrift as e:
+        _fail(EXIT_CONFIG_DRIFT, str(e))
     except CorruptLog as e:
         _fail(EXIT_CORRUPT_LOG, str(e))
     except StoreUnavailable as e:

@@ -128,7 +128,9 @@ _decode = json.JSONDecoder().decode
 
 def _read_events(path: Path) -> tuple[list[Event], int]:
     """Parse the log a line at a time; returns (events, byte length of the
-    valid prefix)."""
+    valid prefix). orjson decodes each line; the stdlib decoder, the writer's
+    grammar, decides a line orjson refuses (NaN, Infinity, a lone surrogate, 1e400)."""
+    import orjson  # only reads need it, so a fresh run never loads it
     events: list[Event] = []
     valid = 0
     with open(path, "rb") as fh:
@@ -136,7 +138,10 @@ def _read_events(path: Path) -> tuple[list[Event], int]:
             if not line.endswith(b"\n"):
                 break  # the last write was cut
             try:
-                d = _decode(line.decode("utf-8"))
+                try:
+                    d = orjson.loads(line)
+                except ValueError:
+                    d = _decode(line.decode("utf-8"))
                 if type(d["seq"]) is not int:  # a bool or a float too
                     raise TypeError(f"seq {d['seq']!r} is not an integer")
                 ev = Event(

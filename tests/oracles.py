@@ -1,11 +1,18 @@
-"""Numpy references for the closed forms in selfevolve.markov.
+"""Numpy references for the closed forms in selfevolve.markov, and the
+stdlib reference for the event log reader.
 
 The package evaluates its chain laws in pure Python. These are the matrix
 forms they are checked against (P^n by matrix_power, (I - Q)^-1 R by a linear
 solve) and the vectorized Monte Carlo oracles the tests compare with.
+
+The package reads its log with orjson; read_events is the same reader on the
+stdlib decoder alone, whose grammar the writer's encoder follows.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +26,7 @@ from selfevolve.markov import (
     TransitionParams,
     absorption_probabilities,
 )
+from selfevolve.store import CorruptLog, Event, _read_events
 
 
 def transition_matrix(params: TransitionParams) -> np.ndarray:
@@ -150,3 +158,55 @@ def verdep_exit_frequencies(
         u = rng.random(correct.shape[0])
         correct = u < np.where(correct, acp.y_c0, acp.y_i0)
     return exited_correct / n_samples, exited_incorrect / n_samples
+
+
+_decode = json.JSONDecoder().decode
+
+
+def read_events(path: Path) -> tuple[list[Event], int]:
+    """store._read_events on the stdlib decoder alone: (events, byte length
+    of the valid prefix)."""
+    events: list[Event] = []
+    valid = 0
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                break  # the last write was cut
+            try:
+                d = _decode(line.decode("utf-8"))
+                if type(d["seq"]) is not int:  # a bool or a float too
+                    raise TypeError(f"seq {d['seq']!r} is not an integer")
+                ev = Event(
+                    seq=d["seq"],
+                    trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
+                    kind=d["kind"],
+                    payload=d["payload"],
+                    ts=d["ts"],
+                )
+            except (ValueError, KeyError, TypeError) as e:
+                if not fh.read(1):
+                    break  # an unparseable last line is an interrupted write
+                raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
+            expected = events[-1].seq + 1 if events else 1
+            if ev.seq != expected:
+                raise CorruptLog(
+                    f"sequence gap: expected {expected}, found {ev.seq}", len(events)
+                )
+            events.append(ev)
+            valid += len(line)
+    return events, valid
+
+
+def read_outcome(reader, path: Path) -> str:
+    """repr of what reader returns for path, or of the exception it raises
+    with its message and valid prefix. A repr tells NaN, -0.0, 1 and 1.0 and
+    key order apart, where == on the events would not."""
+    try:
+        return repr(reader(path))
+    except Exception as e:
+        return repr((type(e), str(e), getattr(e, "valid_prefix_events", None)))
+
+
+def assert_reads_like_stdlib(path: Path) -> None:
+    got, want = read_outcome(_read_events, path), read_outcome(read_events, path)
+    assert got == want, f"{path}: {path.read_bytes()!r}\norjson: {got}\nstdlib: {want}"

@@ -306,12 +306,22 @@ def test_http_malformed_body_exhausts_retries(http_backend):
     assert len(server.requests) == len(script)
 
 
+# usage counts int() would take, though the log could not round-trip them
+BAD_USAGES = [{"prompt_tokens": "12"}, {"prompt_tokens": 12.7},
+              {"completion_tokens": True}, {"completion_tokens": -5},
+              {"prompt_tokens": 10**30}, {"completion_tokens": 2**63}]
+
+
 def test_http_malformed_body_retried(http_backend):
-    with StubChatServer([200, completion("ok \\boxed{1}")]) as server:
-        backend = http_backend(server.endpoint)
-        response = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
-    assert "\\boxed{1}" in response.summary_text
-    assert len(server.requests) == 2
+    # the good response's counts sit at both ends of the range it accepts
+    good = completion("ok \\boxed{1}", prompt_tokens=0, completion_tokens=2**63 - 1)
+    for first in [200] + [completion("bad \\boxed{2}", **usage) for usage in BAD_USAGES]:
+        with StubChatServer([first, good]) as server:
+            backend = http_backend(server.endpoint)
+            response = backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+        assert "\\boxed{1}" in response.summary_text, first
+        assert (response.prompt_tokens, response.completion_tokens) == (0, 2**63 - 1)
+        assert len(server.requests) == 2, first
 
 
 # a response slower than the 0.05 s deadline on each of the 2 attempts

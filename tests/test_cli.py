@@ -299,12 +299,15 @@ def unknown_prompts_key(manifest):
                          ids=lambda edit: edit.__name__)
 def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
     # a manifest whose config sections or problems cannot build is an invalid
-    # config (exit 2), and the resume appends nothing to the log
+    # config (exit 2), and the resume appends nothing to the log. Its
+    # config_hash is that of the edited config, as when an older version wrote
+    # it so; an edit after the hash was written is drift instead (see below)
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
     path = run_dir(runs, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
     edit(manifest)
+    manifest["config_hash"] = config_hash(manifest["config"])
     path.write_text(json.dumps(manifest))
     log = run_dir(runs, run_id) / "events.log"
     full = log.read_bytes()
@@ -313,6 +316,50 @@ def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
     assert result.exit_code == 2, result.output
     assert "invalid config" in result.output
     assert log.read_bytes() == full[:len(full) // 2]
+
+
+def edited_p_ic(manifest):
+    manifest["config"]["mock"]["p_ic"] = 0.9
+
+
+@pytest.mark.parametrize("edit", [edited_p_ic, carry_forward_false],
+                         ids=lambda edit: edit.__name__)
+@pytest.mark.parametrize("command", ["resume", "analyze"])
+def test_cli_refuses_manifest_edited_after_run(workspace, command, edit):
+    # a manifest whose config no longer hashes to its config_hash was edited
+    # after the run: resume and analyze exit 3 before they append or write,
+    # even when the edited config could not build (exit 2 otherwise)
+    (workspace / "config.yaml").write_text(
+        BASE_CONFIG.replace("max_iterations: 3", "max_iterations: 6"))
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    path = run_dir(runs, run_id) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert config_hash(manifest["config"]) == manifest["config_hash"]
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    log = run_dir(runs, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    out = ["--out", workspace / "a"] if command == "analyze" else []
+    result = invoke(command, run_id, "--runs-dir", runs, *out)
+    assert result.exit_code == 3, result.output
+    assert "config_hash" in result.output
+    assert log.read_bytes() == full[:len(full) // 2]
+    assert not (workspace / "a").exists()
+
+
+def test_cli_analyze_skips_check_of_api_run(workspace):
+    # run_experiment called directly writes an empty config_hash, which
+    # vouches for nothing, so analyze does not check the config against it
+    store = RunStore(workspace / "runs")
+    problems = load_problems(workspace / "problems.json")
+    cfg = RunConfig.load(workspace / "config.yaml")
+    run_id = engine.run_experiment(problems, 2, cfg.controller, cfg.build_backend(),
+                                   cfg.prompts, 11, store, config_snapshot=cfg.snapshot())
+    assert store.manifest(run_id)["config_hash"] == ""
+    result = invoke("analyze", run_id, "--runs-dir", store.root, "--out", workspace / "a")
+    assert result.exit_code == 0, result.output
 
 
 def test_cli_resume_noop_on_finished_run(workspace):

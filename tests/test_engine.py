@@ -37,6 +37,7 @@ from selfevolve.engine import (
 from selfevolve.store import RunStore, run_dir
 
 from fixtures import CASE_BLOCKS, PENTAGON_PROBLEM
+from oracles import assert_reads_like_stdlib
 
 PROMPTS = PromptSet()
 
@@ -731,3 +732,5 @@ def test_event_log_golden(tmp_path, kind):
     fresh = log_digest(run_dir(store.root, run_id) / "events.log")
     resumed = log_digest(run_dir(copy.root, run_id) / "events.log")
     assert (fresh, resumed) == (GOLDEN_LOGS[kind], GOLDEN_LOGS[kind])
+    for root in (store.root, copy.root):
+        assert_reads_like_stdlib(run_dir(root, run_id) / "events.log")

@@ -1,10 +1,14 @@
 import builtins
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from selfevolve.answers import AnswerKey
+from selfevolve.backend import MockBackendProvider, mock_spec_from_dict
+from selfevolve.engine import DSER, VERDEP, ControllerConfig, Problem, PromptSet, run_experiment
 from selfevolve.store import (
     SCHEMA_VERSION,
     CorruptLog,
@@ -15,6 +19,7 @@ from selfevolve.store import (
 )
 
 from fixtures import CORRUPT_LINE_EDITS
+from oracles import assert_reads_like_stdlib
 
 
 MANIFEST = {
@@ -307,3 +312,126 @@ def test_sync_modes(tmp_path):
     for mode in ("commit", "bogus"):
         with pytest.raises(ValueError):
             store.open_log("r1", sync=mode)
+
+
+# --- the orjson reader against the stdlib reference --------------------------
+
+def small_run_lines(tmp_path, kind) -> list[bytes]:
+    """The log lines, newline kept, of a 1-problem K=2 mock run of kind."""
+    spec = mock_spec_from_dict({"ground_truth": "60", "initial_correct_probability": 0.5,
+                                "p_ic": 0.3, "p_ci": 0.1, "alpha": 0.3, "beta": 0.8})
+    store = RunStore(tmp_path / kind)
+    config = ControllerConfig(kind=kind, max_iterations=5, accept_limit=2, reject_limit=2)
+    run_id = run_experiment([Problem("p0", "what is 59+1?", AnswerKey("60"))], 2, config,
+                            MockBackendProvider(spec), PromptSet(), 3, store, store_sync="flush")
+    return (run_dir(store.root, run_id) / "events.log").read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_reader_matches_stdlib_on_every_cut(tmp_path, kind):
+    # every line boundary, and the middle of every line
+    raw = b"".join(small_run_lines(tmp_path, kind))
+    boundaries = [i + 1 for i, byte in enumerate(raw) if byte == ord("\n")]
+    path = tmp_path / "events.log"
+    for end, start in zip(boundaries, [0] + boundaries):
+        for cut in (end, (start + end) // 2):
+            path.write_bytes(raw[:cut])
+            assert_reads_like_stdlib(path)
+
+
+def _event(seq=b"SEQ", ts=b"1700000000.25", trial=b'["p0",0]', payload=b"{}"):
+    return b'{"seq":%s,"ts":%s,"trial":%s,"kind":"K","payload":%s}' % (seq, ts, trial, payload)
+
+
+# name -> one log line without its newline, its seq written SEQ. Integers
+# outside [-2**63, 2**64), which orjson reads as floats, and nesting deeper
+# than the stdlib's recursion limit, which orjson reads and the stdlib
+# cannot, are left out: the writer writes neither
+HAND_LINES = {
+    "non_ascii": _event(payload='{"t":"h\u00e9llo \u2713 \U0001d538"}'.encode()),
+    "non_ascii_escaped": _event(payload=rb'{"t":"h\u00e9llo \ud835\udd38"}'),
+    "u2028": _event(payload='{"t":"a\u2028b\u2029c"}'.encode()),
+    "u2028_escaped": _event(payload=rb'{"t":"a\u2028b"}'),
+    "quotes_backslashes": _event(payload=rb'{"t":"say \"hi\" \\ a\\\\b \/ \n\t\u0000"}'),
+    "ts_long": _event(ts=b"1700000000.1234567891234"),
+    "ts_tiny": _event(ts=b"5e-324"),
+    "ts_huge": _event(ts=b"1.7976931348623157e308"),
+    "ts_negative_zero": _event(ts=b"-0.0"),
+    "ts_exponent": _event(ts=b"1E5"),
+    "ts_int": _event(ts=b"1700000000"),
+    "ts_nan": _event(ts=b"NaN"),
+    "ts_infinity": _event(ts=b"Infinity"),
+    "ts_minus_infinity": _event(ts=b"-Infinity"),
+    "ts_overflow": _event(ts=b"1e400"),
+    "int_edges": _event(payload=b'{"n":[9223372036854775807,-9223372036854775808,'
+                                b'18446744073709551615,-0]}'),
+    "lone_surrogate": _event(payload=rb'{"t":"\ud800"}'),
+    "lone_low_surrogate": _event(payload=rb'{"t":"x\udc00y"}'),
+    "duplicate_key": _event(payload=b'{"a":1,"a":2}'),
+    "leading_spaces": b"   " + _event(),
+    "crlf": _event() + b"\r",
+    "bom": b"\xef\xbb\xbf" + _event(),
+    "invalid_utf8": _event(payload=b'{"t":"\xff"}'),
+    "overlong_utf8": _event(payload=b'{"t":"\xc0\xaf"}'),
+    "encoded_surrogate": _event(payload=b'{"t":"\xed\xa0\x80"}'),
+    "raw_control_char": _event(payload=b'{"t":"a\tb"}'),
+    "empty": b"",
+    "blank": b" \t",
+    "trailing_garbage": _event() + b" x",
+    "trailing_brace": _event() + b"}",
+    "not_an_object": b"[SEQ]",
+    "seq_string": _event(seq=b'"SEQ"'),
+    "seq_float": _event(seq=b"SEQ.0"),
+    "seq_bool": _event(seq=b"true"),
+    "seq_null": _event(seq=b"null"),
+    "no_kind": b'{"seq":SEQ,"ts":1,"trial":null,"payload":{}}',
+    "trial_string": _event(trial=b'"p0"'),
+}
+
+
+@pytest.mark.parametrize("line", HAND_LINES.values(), ids=HAND_LINES.keys())
+def test_reader_matches_stdlib_on_hand_lines(tmp_path, line):
+    # each line mid-log, where a refused line is a corrupt log, and last,
+    # where it is an interrupted write
+    path = tmp_path / "events.log"
+    first, third = _event().replace(b"SEQ", b"1"), _event().replace(b"SEQ", b"3")
+    for lines in ([first, line, third], [first, line]):
+        path.write_bytes(b"".join(x.replace(b"SEQ", b"2") + b"\n" for x in lines))
+        assert_reads_like_stdlib(path)
+
+
+MUTATION_BYTES = b'"\\{}[],:.-+0123456789eEnNaIfty \t\r\x00\x7f\xc3\xa9\xed\xff'
+
+
+def test_reader_matches_stdlib_on_mutated_lines(tmp_path):
+    # 5,000 seeded byte mutations of real log lines, each renumbered to seq 2
+    # and placed after seq 1, then either last or before a seq 3
+    lines = small_run_lines(tmp_path, VERDEP)
+    rng = random.Random(17)
+    path = tmp_path / "events.log"
+
+    def renumbered(seq):
+        i = rng.randrange(len(lines))
+        return lines[i].replace(b'{"seq":%d,' % (i + 1), b'{"seq":%d,' % seq, 1)
+
+    # one handle rewritten in place: truncating a file to 0 and refilling it
+    # costs several times more on some filesystems
+    with open(path, "w+b") as fh:
+        for _ in range(5000):
+            line = bytearray(renumbered(2)[:-1])
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(line))
+                byte = rng.choice(MUTATION_BYTES) if rng.random() < 0.5 else rng.randrange(256)
+                op = rng.randrange(3)
+                if op == 0:
+                    line[at] = byte
+                elif op == 1:
+                    line.insert(at, byte)
+                else:
+                    del line[at]
+            tail = [renumbered(3)] if rng.random() < 0.5 else []
+            fh.seek(0)
+            fh.write(b"".join([lines[0], bytes(line) + b"\n"] + tail))
+            fh.truncate()
+            fh.flush()
+            assert_reads_like_stdlib(path)
