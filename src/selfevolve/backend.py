@@ -68,28 +68,26 @@ class ReasoningResponse:
     thinking: str
     prompt_tokens: int = 0
     completion_tokens: int = 0
-    latency_s: float = 0.0
-    malformed_thinking: bool = False
 
 
-def strip_thinking(full_text: str) -> tuple[str, str, bool]:
+def strip_thinking(full_text: str) -> tuple[str, str]:
     """Split off the first well-formed thinking block; returns (summary,
-    thinking, malformed), the thinking without its delimiters.
+    thinking), the thinking without its delimiters.
 
     Text without delimiters passes through unchanged, with empty thinking. An
-    unclosed opening delimiter makes everything after it the thinking, leaves
-    the text before it as the summary, and sets the malformed flag.
+    unclosed opening delimiter makes everything after it the thinking and
+    leaves the text before it as the summary.
     """
     start = full_text.find(THINK_OPEN)
     if start == -1:
-        return full_text, "", False
+        return full_text, ""
     inner = start + len(THINK_OPEN)
     end = full_text.find(THINK_CLOSE, inner)
     if end == -1:
-        return full_text[:start].strip(), full_text[inner:], True
+        return full_text[:start].strip(), full_text[inner:]
     before = full_text[:start]
     after = full_text[end + len(THINK_CLOSE):]
-    return (before.strip() + "\n" + after.strip()).strip(), full_text[inner:end], False
+    return (before.strip() + "\n" + after.strip()).strip(), full_text[inner:end]
 
 
 @dataclass(frozen=True)
@@ -227,7 +225,6 @@ class HttpBackend:
                     )
                     time.sleep(delay / 1000.0)
                 self._throttle()
-                started = time.monotonic()
                 try:
                     status, data = self._post(payload)
                 except self._connection_errors as e:
@@ -258,15 +255,13 @@ class HttpBackend:
                         "completion hit the response token budget",
                         partial_text=full_text,
                     )
-                summary, thinking, malformed = strip_thinking(full_text)
+                summary, thinking = strip_thinking(full_text)
                 return ReasoningResponse(
                     full_text=full_text,
                     summary_text=summary,
                     thinking=thinking,
                     prompt_tokens=prompt_tokens,
                     completion_tokens=completion_tokens,
-                    latency_s=time.monotonic() - started,
-                    malformed_thinking=malformed,
                 )
         if timeouts == self.config.max_attempts:
             raise BackendTimeout(f"all {self.config.max_attempts} attempts timed out") from last_error

@@ -10,11 +10,10 @@ import click
 
 from . import markov
 from .backend import HttpBackend
-from .config import (ConfigDrift, ConfigInvalid, RunConfig, build_backend_from_manifest,
-                     config_hash)
+from .config import ConfigInvalid, RunConfig, build_backend_from_manifest
 from .engine import resume_experiment, run_experiment
 from .reports import write_run_reports
-from .store import CorruptLog, RunStore, StoreUnavailable
+from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable, config_hash
 
 EXIT_CONFIG_INVALID = 2
 EXIT_CONFIG_DRIFT = 3
@@ -25,15 +24,6 @@ EXIT_STORE_UNAVAILABLE = 5
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _manifest(store: RunStore, run_id: str) -> dict:
-    """run_id's manifest; ConfigDrift when its config no longer hashes to the
-    config_hash written with it. An API run writes "" and is not checked."""
-    manifest = store.manifest(run_id)
-    if manifest.get("config_hash") and config_hash(manifest["config"]) != manifest["config_hash"]:
-        raise ConfigDrift("manifest config differs from its config_hash")
-    return manifest
 
 
 def _closing(backend):
@@ -54,14 +44,12 @@ def cmd_run(config_path):
         cfg = RunConfig.load(config_path)
         problems = cfg.load_problems()
         backend = cfg.build_backend()
-        snapshot = cfg.snapshot()
         store = RunStore(cfg.output_dir / "runs")
         with _closing(backend):
             run_id = run_experiment(
                 problems, cfg.k_trials, cfg.controller, backend, cfg.prompts,
                 cfg.run_seed, store, parallelism=cfg.parallelism,
-                config_snapshot=snapshot, config_hash=config_hash(snapshot),
-                store_sync=cfg.store_sync)
+                config_snapshot=cfg.snapshot(), store_sync=cfg.store_sync)
     except ConfigInvalid as e:
         _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except StoreUnavailable as e:
@@ -80,7 +68,7 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
     try:
         store = RunStore(runs_dir)
-        manifest = _manifest(store, run_id)
+        manifest = store.manifest(run_id)
         if config_path is not None:
             cfg = RunConfig.load(config_path)
             if config_hash(cfg.snapshot()) != manifest["config_hash"]:
@@ -110,7 +98,6 @@ def cmd_analyze(run_id, runs_dir, out_dir):
     iteration each problem's trials have all reached."""
     try:
         store = RunStore(runs_dir)
-        _manifest(store, run_id)
         written = write_run_reports(store, run_id, out_dir)
     except ConfigDrift as e:
         _fail(EXIT_CONFIG_DRIFT, str(e))

@@ -16,7 +16,6 @@ JSON list of {id, statement, answer} records.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 
@@ -32,22 +31,12 @@ class ConfigInvalid(ValueError):
         self.errors = errors
 
 
-class ConfigDrift(ValueError):
-    """Live config hash differs from the manifest snapshot."""
-
-
 _BACKEND_KEYS = {f.name for f in dataclasses.fields(BackendConfig)}
 _CONTROLLER_KEYS = {f.name for f in dataclasses.fields(ControllerConfig)}
 _PROMPT_KEYS = {f.name for f in dataclasses.fields(PromptSet)}
 _MOCK_KEYS = {"ground_truth", "initial_correct_probability", "p_ic", "p_ci",
               "alpha", "beta", "wrong_answer_space"}
 _EXPERIMENT_KEYS = {"problems", "k_trials", "run_seed", "parallelism", "store_sync"}
-
-
-def config_hash(snapshot: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(snapshot, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
 
 
 def _integer(value) -> int:

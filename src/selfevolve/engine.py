@@ -282,8 +282,7 @@ def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str,
 def run_experiment(problems: list[Problem], k_trials: int, config: ControllerConfig,
                    backend, prompts: PromptSet, run_seed: int, store: RunStore,
                    parallelism: int = 8, run_id: str | None = None,
-                   config_snapshot: dict | None = None, config_hash: str = "",
-                   store_sync: str = "always") -> str:
+                   config_snapshot: dict | None = None, store_sync: str = "always") -> str:
     """Run problems x k_trials independent trials; at most parallelism
     backend calls are in flight at once.
 
@@ -300,8 +299,8 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
         raise ValueError("k_trials must be >= 1")
     if run_id is None:
         run_id = uuid.uuid4().hex[:12]
-    # parallelism and store_sync sit outside the config snapshot, so they do
-    # not enter its hash
+    # parallelism and store_sync sit outside the config and the trial inputs,
+    # so the store's stamps do not cover them
     store.create_run(run_id, {
         "run_id": run_id,
         "created_at": time.time(),
@@ -309,7 +308,6 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
         "k_trials": k_trials,
         "config": dict(config_snapshot or {}, controller=dataclasses.asdict(config),
                        prompts=dataclasses.asdict(prompts)),
-        "config_hash": config_hash,
         "parallelism": parallelism,
         "store_sync": store_sync,
         "problems": [{"id": p.problem_id, "statement": p.statement,

@@ -12,10 +12,15 @@ keeps none once its opener has rebuilt the trials from them.
 Schema 2 appends one IterationCommitted {record, calls} per iteration, then
 TrialExited and RunFinalized; schema 1 logs, which also hold per-call events,
 still load because rebuilding reads only the commit kinds.
+
+A manifest is stamped on creation with config_hash, over its config, and
+inputs_hash, over its run seed, trial count and problems; every read checks
+them, so a resume continues the chains the run started.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -30,6 +35,10 @@ SYNC_MODES = ("always", "flush")
 
 class StoreUnavailable(Exception):
     pass
+
+
+class ConfigDrift(ValueError):
+    """A manifest, or a live config, differs from what a run was stamped with."""
 
 
 class RunFinalized(Exception):
@@ -53,6 +62,18 @@ class Event:
 
 def run_dir(root: str | Path, run_id: str) -> Path:
     return Path(root) / run_id
+
+
+def config_hash(value) -> str:
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _stamps(manifest: dict) -> dict[str, str]:
+    """Each stamp of manifest over the fields it covers; an absent one is null."""
+    return {"config_hash": config_hash(manifest.get("config")),
+            "inputs_hash": config_hash([manifest.get(k) for k in ("run_seed", "k_trials",
+                                                                  "problems")])}
 
 
 class RunLog:
@@ -177,16 +198,26 @@ class RunStore:
         if d.exists():
             raise StoreUnavailable(f"run {run_id} already exists")
         d.mkdir(parents=True)
-        manifest = dict(manifest, schema_version=SCHEMA_VERSION)
+        manifest = dict(manifest, schema_version=SCHEMA_VERSION, **_stamps(manifest))
         tmp = d / "manifest.json.tmp"
         tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
         os.replace(tmp, d / "manifest.json")
 
     def manifest(self, run_id: str) -> dict:
-        path = run_dir(self.root, run_id) / "manifest.json"
-        if not path.exists():
-            raise StoreUnavailable(f"no manifest for run {run_id}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        """run_id's manifest: StoreUnavailable if it is not a readable JSON
+        object, ConfigDrift if it no longer hashes to a stamp it holds. An
+        empty or absent stamp, as older versions wrote, is not checked."""
+        try:
+            manifest = json.loads(run_dir(self.root, run_id).joinpath(
+                "manifest.json").read_text(encoding="utf-8"))
+            if not isinstance(manifest, dict):
+                raise ValueError(f"not an object: {type(manifest).__name__}")
+        except (OSError, ValueError) as e:
+            raise StoreUnavailable(f"no readable manifest for run {run_id}: {e}") from e
+        for stamp, value in _stamps(manifest).items():
+            if manifest.get(stamp) and manifest[stamp] != value:
+                raise ConfigDrift(f"manifest differs from its {stamp}")
+        return manifest
 
     def open_log(self, run_id: str, sync: str = "always") -> RunLog:
         d = run_dir(self.root, run_id)

@@ -42,29 +42,26 @@ def make_spec(**overrides) -> MockSpec:
 # --- thinking-block removal --------------------------------------------------
 
 def test_strip_thinking_basic():
-    summary, thinking, malformed = strip_thinking("<think>steps</think>\nAnswer: \\boxed{60}")
+    summary, thinking = strip_thinking("<think>steps</think>\nAnswer: \\boxed{60}")
     assert summary == "Answer: \\boxed{60}"
     assert thinking == "steps"
-    assert not malformed
 
 
 def test_strip_thinking_no_delimiters():
     text = "plain solution text"
-    assert strip_thinking(text) == (text, "", False)
+    assert strip_thinking(text) == (text, "")
 
 
 def test_strip_thinking_unclosed():
-    summary, thinking, malformed = strip_thinking("<think>never closed")
+    summary, thinking = strip_thinking("<think>never closed")
     assert summary == ""
     assert thinking == "never closed"
-    assert malformed
 
 
 def test_strip_thinking_preserves_prefix():
-    summary, thinking, malformed = strip_thinking("intro\n<think>x</think>\ntail")
+    summary, thinking = strip_thinking("intro\n<think>x</think>\ntail")
     assert summary == "intro\ntail"
     assert thinking == "x"
-    assert not malformed
 
 
 # --- request validation ------------------------------------------------------
@@ -131,7 +128,7 @@ def test_mock_full_text_splits_into_summary_and_thinking(kind, state):
     for seed in range(50):
         r = mock_call(make_spec(), kind, state, seed=seed)
         assert r.thinking
-        assert strip_thinking(r.full_text) == (r.summary_text, r.thinking, False)
+        assert strip_thinking(r.full_text) == (r.summary_text, r.thinking)
 
 
 @pytest.mark.parametrize("kind,segments", [("solve", 2), ("verify", 3), ("refine", 5)])

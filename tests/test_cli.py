@@ -11,8 +11,8 @@ from click.testing import CliRunner
 
 from selfevolve import engine
 from selfevolve.cli import main
-from selfevolve.config import ConfigInvalid, RunConfig, config_hash, load_problems
-from selfevolve.store import RunStore, run_dir
+from selfevolve.config import ConfigInvalid, RunConfig, load_problems
+from selfevolve.store import RunStore, config_hash, run_dir
 
 from fixtures import CORRUPT_LINE_EDITS
 
@@ -300,14 +300,16 @@ def unknown_prompts_key(manifest):
 def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
     # a manifest whose config sections or problems cannot build is an invalid
     # config (exit 2), and the resume appends nothing to the log. Its
-    # config_hash is that of the edited config, as when an older version wrote
-    # it so; an edit after the hash was written is drift instead (see below)
+    # config_hash is that of the edited config and it has no inputs_hash, as
+    # when a version before inputs were stamped wrote it so; an edit after the
+    # stamps were written is drift instead (see below)
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
     path = run_dir(runs, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
     edit(manifest)
     manifest["config_hash"] = config_hash(manifest["config"])
+    del manifest["inputs_hash"]
     path.write_text(json.dumps(manifest))
     log = run_dir(runs, run_id) / "events.log"
     full = log.read_bytes()
@@ -322,44 +324,121 @@ def edited_p_ic(manifest):
     manifest["config"]["mock"]["p_ic"] = 0.9
 
 
-@pytest.mark.parametrize("edit", [edited_p_ic, carry_forward_false],
-                         ids=lambda edit: edit.__name__)
-@pytest.mark.parametrize("command", ["resume", "analyze"])
-def test_cli_refuses_manifest_edited_after_run(workspace, command, edit):
-    # a manifest whose config no longer hashes to its config_hash was edited
-    # after the run: resume and analyze exit 3 before they append or write,
-    # even when the edited config could not build (exit 2 otherwise)
+def edited_run_seed(manifest):
+    manifest["run_seed"] = 99
+
+
+def edited_k_trials(manifest):
+    manifest["k_trials"] = 5
+
+
+def edited_statement(manifest):
+    manifest["problems"][0]["statement"] = "what is 58+2?"
+
+
+def deleted_config(path):
+    manifest = json.loads(path.read_text())
+    del manifest["config"]
+    path.write_text(json.dumps(manifest))
+
+
+def refused(workspace, command, rewrite):
+    """The result of command on a CLI run whose manifest rewrite(path) changed
+    after the run and whose log was then cut in half; asserts that the
+    command left the log as it was and wrote no report directory."""
     (workspace / "config.yaml").write_text(
         BASE_CONFIG.replace("max_iterations: 3", "max_iterations: 6"))
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
-    path = run_dir(runs, run_id) / "manifest.json"
-    manifest = json.loads(path.read_text())
-    assert config_hash(manifest["config"]) == manifest["config_hash"]
-    edit(manifest)
-    path.write_text(json.dumps(manifest))
+    rewrite(run_dir(runs, run_id) / "manifest.json")
     log = run_dir(runs, run_id) / "events.log"
     full = log.read_bytes()
     log.write_bytes(full[:len(full) // 2])
     out = ["--out", workspace / "a"] if command == "analyze" else []
     result = invoke(command, run_id, "--runs-dir", runs, *out)
-    assert result.exit_code == 3, result.output
-    assert "config_hash" in result.output
     assert log.read_bytes() == full[:len(full) // 2]
     assert not (workspace / "a").exists()
+    return result
 
 
-def test_cli_analyze_skips_check_of_api_run(workspace):
-    # run_experiment called directly writes an empty config_hash, which
-    # vouches for nothing, so analyze does not check the config against it
+@pytest.mark.parametrize("edit,stamp", [
+    pytest.param(edit, stamp, id=edit.__name__) for edit, stamp in (
+        (edited_p_ic, "config_hash"), (carry_forward_false, "config_hash"),
+        (edited_run_seed, "inputs_hash"), (edited_k_trials, "inputs_hash"),
+        (edited_statement, "inputs_hash"))])
+@pytest.mark.parametrize("command", ["resume", "analyze"])
+def test_cli_refuses_manifest_edited_after_run(workspace, command, edit, stamp):
+    # a manifest that no longer hashes to a stamp it was written with was
+    # edited after the run: resume and analyze exit 3 before they append or
+    # write, even when the edited config could not build (exit 2 otherwise)
+    def rewrite(path):
+        manifest = json.loads(path.read_text())
+        assert config_hash(manifest["config"]) == manifest["config_hash"]
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    result = refused(workspace, command, rewrite)
+    assert result.exit_code == 3, result.output
+    assert stamp in result.output
+
+
+@pytest.mark.parametrize("damage,code", [
+    pytest.param(lambda path: path.write_text('{"broken'), 5, id="undecodable"),
+    pytest.param(lambda path: path.write_text("[]"), 5, id="not_an_object"),
+    pytest.param(deleted_config, 3, id="deleted_config")])
+@pytest.mark.parametrize("command", ["resume", "analyze"])
+def test_cli_refuses_damaged_manifest(workspace, command, damage, code):
+    # a manifest that is not a JSON object is as good as missing (exit 5); a
+    # stamped one without its config fails its config_hash (exit 3)
+    result = refused(workspace, command, damage)
+    assert result.exit_code == code, result.output
+
+
+def api_run(workspace):
+    """A run made by calling run_experiment, as a script would; (store, run_id)."""
     store = RunStore(workspace / "runs")
     problems = load_problems(workspace / "problems.json")
     cfg = RunConfig.load(workspace / "config.yaml")
     run_id = engine.run_experiment(problems, 2, cfg.controller, cfg.build_backend(),
                                    cfg.prompts, 11, store, config_snapshot=cfg.snapshot())
-    assert store.manifest(run_id)["config_hash"] == ""
+    return store, run_id
+
+
+def test_cli_analyze_refuses_edited_api_run(workspace):
+    # run_experiment stamps the manifest as the CLI run does, with the hash
+    # that resume --config compares against
+    store, run_id = api_run(workspace)
+    path = run_dir(store.root, run_id) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["config_hash"] == config_hash(
+        RunConfig.load(workspace / "config.yaml").snapshot())
+    assert manifest["inputs_hash"]
+    edited_p_ic(manifest)
+    path.write_text(json.dumps(manifest))
     result = invoke("analyze", run_id, "--runs-dir", store.root, "--out", workspace / "a")
+    assert result.exit_code == 3, result.output
+    assert not (workspace / "a").exists()
+
+
+def test_cli_unstamped_manifest_analyzes_and_resumes(workspace):
+    # an empty config_hash and no inputs_hash, as an API run wrote before runs
+    # were stamped, vouch for nothing and are not checked
+    store, run_id = api_run(workspace)
+    path = run_dir(store.root, run_id) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config_hash"] = ""
+    del manifest["inputs_hash"]
+    path.write_text(json.dumps(manifest))
+    result = invoke("analyze", run_id, "--runs-dir", store.root, "--out", workspace / "a1")
     assert result.exit_code == 0, result.output
+    log = run_dir(store.root, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    result = invoke("resume", run_id, "--runs-dir", store.root,
+                    "--reports-dir", workspace / "a2")
+    assert result.exit_code == 0, result.output
+    for report in sorted((workspace / "a1").iterdir()):
+        assert report.read_bytes() == (workspace / "a2" / report.name).read_bytes()
 
 
 def test_cli_resume_noop_on_finished_run(workspace):

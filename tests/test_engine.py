@@ -73,10 +73,9 @@ class ScriptedBackend:
         text = self.texts.pop(0)
         from selfevolve.backend import strip_thinking
 
-        summary, thinking, malformed = strip_thinking(text)
+        summary, thinking = strip_thinking(text)
         return ReasoningResponse(full_text=text, summary_text=summary, thinking=thinking,
-                                 prompt_tokens=len(request.context), completion_tokens=1,
-                                 malformed_thinking=malformed)
+                                 prompt_tokens=len(request.context), completion_tokens=1)
 
 
 class RecordingBackend:
@@ -347,13 +346,14 @@ def test_trial_loop_edges(config, spec, prefix, n_records, status, calls):
 
 def run_mock_experiment(tmp_path, *, k=4, horizon=5, run_seed=7, kind=DSER,
                         parallelism=4, spec=None, problems=None,
-                        store_sync="always", backend=None):
+                        store_sync="always", backend=None, accept_limit=5, reject_limit=10):
     store = RunStore(tmp_path / "runs")
     spec = spec or make_spec()
     backend = backend or MockBackendProvider(spec)
     if problems is None:
         problems = [Problem("p0", "what is the answer?", AnswerKey("60"))]
-    config = ControllerConfig(kind=kind, max_iterations=horizon)
+    config = ControllerConfig(kind=kind, max_iterations=horizon, accept_limit=accept_limit,
+                              reject_limit=reject_limit)
     run_id = run_experiment(problems, k, config, backend, PROMPTS, run_seed,
                             store, parallelism=parallelism,
                             config_snapshot={
@@ -532,6 +532,38 @@ def test_verdep_resume_after_exit_record(tmp_path):
         assert committed_view(copy.load_run(run_id)[1]) == want
 
 
+TWO_PROBLEMS = [Problem("p0", "what is 59+1?", AnswerKey("60")),
+                Problem("p1", "what is 7*8+4?", AnswerKey("60"))]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["provider", "shared"])
+@pytest.mark.parametrize("limits", [dict(kind=DSER, horizon=6),
+                                    dict(kind=VERDEP, horizon=8, accept_limit=2,
+                                         reject_limit=2)],
+                         ids=[DSER, VERDEP])
+def test_resume_from_every_crash_point(tmp_path, limits, shared):
+    # a crash can cut the log at any byte: at every line boundary and inside
+    # every line, the resumed run commits what the uninterrupted one did. The
+    # shared backend answers both problems (both are 60) from 2 threads
+    spec = make_spec(**VERDEP_SPEC)
+    provider = MockBackendProvider(spec)
+    backend = provider.for_problem(TWO_PROBLEMS[0]) if shared else provider
+    store, run_id = run_mock_experiment(tmp_path / "base", k=3, parallelism=2, spec=spec,
+                                        problems=TWO_PROBLEMS, store_sync="flush",
+                                        backend=backend, **limits)
+    want = committed_view(store.load_run(run_id)[1])
+    lines = run_dir(store.root, run_id).joinpath("events.log").read_bytes().splitlines(
+        keepends=True)
+    cuts = [b"".join(lines[:i]) for i in range(len(lines) + 1)]
+    cuts += [b"".join(lines[:i]) + line[:len(line) // 2] for i, line in enumerate(lines)]
+    copy = cut_copy(store, run_id, tmp_path / "cut", b"")
+    log = run_dir(copy.root, run_id) / "events.log"
+    for n, cut in enumerate(cuts):
+        log.write_bytes(cut)
+        resume_experiment(copy, run_id, backend)
+        assert committed_view(copy.load_run(run_id)[1]) == want, f"cut {n} at byte {len(cut)}"
+
+
 def test_resume_uses_run_prompts(tmp_path):
     # without a config snapshot the manifest still records the run's prompts,
     # so a resumed run sends the contexts the uninterrupted one sent
@@ -597,13 +629,16 @@ def test_reads_hold_the_parsed_log_once(tmp_path):
 
 def old_manifest_copy(tmp_path, carry_forward):
     """A run cut in half whose manifest's controller section holds the
-    carry_forward_on_failure key that older runs wrote; returns
+    carry_forward_on_failure key that older runs wrote, stamped as an older
+    API run was: an empty config_hash and no inputs_hash; returns
     (store, run_id, uninterrupted committed view, spec)."""
     spec = make_spec(**VERDEP_SPEC)
     store, run_id = run_mock_experiment(tmp_path / "base", k=4, horizon=12, kind=VERDEP,
                                         parallelism=1, spec=spec)
     manifest, states = store.load_run(run_id)
     manifest["config"]["controller"]["carry_forward_on_failure"] = carry_forward
+    manifest["config_hash"] = ""
+    del manifest["inputs_hash"]
     full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
     copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2], manifest)
     return copy, run_id, committed_view(states), spec

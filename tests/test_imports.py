@@ -37,6 +37,16 @@ def test_no_numpy_or_requests_on_import(modules):
     assert loaded_after("; ".join(f"import {m}" for m in modules)) == "[]"
 
 
+def test_store_imports_no_other_package_module():
+    # the store owns the manifest's hashes and engine, config and cli import
+    # it, so it may import none of them
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import selfevolve.store; "
+            "print(sorted(m for m in sys.modules if m.startswith('selfevolve.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "['selfevolve.store']"
+
+
 def test_analyze_loads_none_of_them(tmp_path):
     (tmp_path / "problems.json").write_text(json.dumps(
         [{"id": "p0", "statement": "what is 59+1?", "answer": "60"}]))
