@@ -18,7 +18,7 @@ from functools import lru_cache
 from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
-from .markov import TransitionParams, _check_prob
+from .markov import TransitionParams, _check_int, _check_prob
 
 THINK_OPEN = "<think>"
 THINK_CLOSE = "</think>"
@@ -108,18 +108,17 @@ class BackendConfig:
     temperature: float = 0.6
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.rps is not None and self.rps <= 0:
-            raise ValueError("rps must be > 0")
-        if self.max_response_tokens < 1:
-            raise ValueError("max_response_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        for name, minimum in (("max_attempts", 1), ("backoff_base_ms", 0),
+                              ("backoff_max_ms", 0), ("max_in_flight", 1),
+                              ("max_response_tokens", 1)):
+            _check_int(name, getattr(self, name), minimum)
+        for name, bound in (("timeout_s", ">"), ("rps", ">"), ("temperature", ">=")):
+            value = getattr(self, name)
+            if value is None and name == "rps":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not (value > 0 if bound == ">" else value >= 0)):
+                raise ValueError(f"{name} must be a number {bound} 0, not {value!r}")
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
@@ -304,11 +303,7 @@ class MockSpec:
     def __post_init__(self):
         for name in ("initial_correct_probability", "alpha", "beta"):
             _check_prob(name, getattr(self, name))
-        space = self.wrong_answer_space
-        if not isinstance(space, int) or isinstance(space, bool):
-            raise ValueError(f"wrong_answer_space must be an integer, not {space!r}")
-        if space < 1:
-            raise ValueError("wrong_answer_space must be >= 1")
+        _check_int("wrong_answer_space", self.wrong_answer_space, 1)
 
 
 class MockBackend:
@@ -389,9 +384,16 @@ class MockBackendProvider:
             return backend
 
 
+_MOCK_KEYS = {"ground_truth", "initial_correct_probability", "p_ic", "p_ci",
+              "alpha", "beta", "wrong_answer_space"}
+
+
 def mock_spec_from_dict(d: dict) -> MockSpec:
-    """Build a MockSpec from a config-file mock section; an absent alpha, beta
-    or wrong_answer_space takes MockSpec's default."""
+    """Build a MockSpec from a config-file or manifest mock section; an absent
+    alpha, beta or wrong_answer_space takes MockSpec's default."""
+    unknown = set(d) - _MOCK_KEYS
+    if unknown:
+        raise ValueError(f"unknown keys {sorted(unknown)}")
     return MockSpec(
         ground_truth=normalize_answer(str(d["ground_truth"])),
         initial_correct_probability=d.get("initial_correct_probability", 0.0),

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import csv
 import sys
-from contextlib import closing, nullcontext
 
 import click
 
 from . import markov
-from .backend import HttpBackend
-from .config import ConfigInvalid, RunConfig, build_backend_from_manifest
-from .engine import resume_experiment, run_experiment
+from .config import RunConfig
+from .engine import ConfigInvalid, resume_experiment, run_experiment
 from .reports import write_run_reports
 from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable, config_hash
 
@@ -26,11 +24,6 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _closing(backend):
-    """A context that closes backend's connections on exit, if it has any."""
-    return closing(backend) if isinstance(backend, HttpBackend) else nullcontext()
-
-
 @click.group()
 def main():
     """Self-evolving reasoning experiment engine."""
@@ -42,14 +35,14 @@ def cmd_run(config_path):
     """Launch an experiment described by a config file; prints the run id."""
     try:
         cfg = RunConfig.load(config_path)
-        problems = cfg.load_problems()
-        backend = cfg.build_backend()
+        inputs = cfg.inputs
         store = RunStore(cfg.output_dir / "runs")
-        with _closing(backend):
-            run_id = run_experiment(
-                problems, cfg.k_trials, cfg.controller, backend, cfg.prompts,
-                cfg.run_seed, store, parallelism=cfg.parallelism,
-                config_snapshot=cfg.snapshot(), store_sync=cfg.store_sync)
+        # no backend: the run builds the one its config's mock or backend
+        # section describes
+        run_id = run_experiment(
+            list(inputs.problems.values()), inputs.k_trials, inputs.controller, None,
+            inputs.prompts, inputs.run_seed, store, parallelism=inputs.parallelism,
+            config_snapshot=cfg.config, store_sync=inputs.store_sync)
     except ConfigInvalid as e:
         _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except StoreUnavailable as e:
@@ -68,14 +61,11 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
     try:
         store = RunStore(runs_dir)
-        manifest = store.manifest(run_id)
         if config_path is not None:
-            cfg = RunConfig.load(config_path)
-            if config_hash(cfg.snapshot()) != manifest["config_hash"]:
+            stamped = store.manifest(run_id)["config_hash"]
+            if config_hash(RunConfig.load(config_path).config) != stamped:
                 raise ConfigDrift("live config differs from the manifest snapshot")
-        backend = build_backend_from_manifest(manifest)
-        with _closing(backend):
-            resume_experiment(store, run_id, backend)
+        resume_experiment(store, run_id)
     except ConfigInvalid as e:
         _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except ConfigDrift as e:
@@ -99,6 +89,8 @@ def cmd_analyze(run_id, runs_dir, out_dir):
     try:
         store = RunStore(runs_dir)
         written = write_run_reports(store, run_id, out_dir)
+    except ConfigInvalid as e:
+        _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
     except ConfigDrift as e:
         _fail(EXIT_CONFIG_DRIFT, str(e))
     except CorruptLog as e:

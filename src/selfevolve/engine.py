@@ -1,6 +1,6 @@
 """The trial loop, shared by the fixed-horizon controller (DSER) and the
-verification-dependent accept/reject one (VERDEP), plus the experiment
-driver.
+verification-dependent accept/reject one (VERDEP), the one builder of a
+run's inputs, and the experiment driver.
 
 Every reasoning call context is exactly (q, s, p_v, v, p_r) or a prefix of
 it; earlier solutions never re-enter the context, so the process is Markov in
@@ -17,13 +17,16 @@ from __future__ import annotations
 import dataclasses
 import time
 import uuid
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from math import inf
 
 from .answers import AnswerKey, extract_answer, normalize_answer
-from .backend import BackendError, ReasoningRequest, ResponseTruncated
+from .backend import (BackendConfig, BackendError, HttpBackend, MockBackendProvider, MockSpec,
+                      ReasoningRequest, ResponseTruncated, mock_spec_from_dict)
+from .markov import _check_int
 from .seeds import derive_seed
-from .store import CorruptLog, Event, RunLog, RunStore
+from .store import SYNC_MODES, CorruptLog, Event, RunLog, RunStore
 
 DEFAULT_SOLVE_PROMPT = (
     "Solve the following problem step by step. "
@@ -105,16 +108,9 @@ class ControllerConfig:
     def __post_init__(self):
         if self.kind not in (DSER, VERDEP):
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        for name in ("max_iterations", "accept_limit", "reject_limit", "max_parse_retries"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.accept_limit < 1 or self.reject_limit < 1:
-            raise ValueError("accept/reject limits must be >= 1")
-        if self.max_parse_retries < 0:
-            raise ValueError("max_parse_retries must be >= 0")
+        for name, minimum in (("max_iterations", 0), ("accept_limit", 1),
+                              ("reject_limit", 1), ("max_parse_retries", 0)):
+            _check_int(name, getattr(self, name), minimum)
 
 
 @dataclass
@@ -243,6 +239,124 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
 
 
 # ---------------------------------------------------------------------------
+# Run inputs
+# ---------------------------------------------------------------------------
+
+
+class ConfigInvalid(ValueError):
+    def __init__(self, errors: list[str]):
+        super().__init__("; ".join(errors))
+        self.errors = errors
+
+
+def _checked(errors: list[str], name: str, build, /, *args, **kwargs):
+    """build(*args, **kwargs), recording a value error it raises under name
+    in errors; None in that case."""
+    try:
+        return build(*args, **kwargs)
+    except KeyError as e:
+        errors.append(f"{name}.{e.args[0]}: required")
+    except (TypeError, ValueError) as e:
+        errors.append(f"{name}: {e}")
+    return None
+
+
+@dataclass(frozen=True)
+class RunInputs:
+    """What a run description fixes: each trial's chain (controller, prompts,
+    problem, seed) and how the trials are driven. backend_config is the built
+    mock or backend section; None if the run has neither, so that its caller
+    passes the backend."""
+
+    controller: ControllerConfig
+    prompts: PromptSet
+    problems: dict[str, Problem]
+    k_trials: int
+    run_seed: int
+    parallelism: int
+    store_sync: str
+    backend_config: MockSpec | BackendConfig | None
+
+
+def _controller(section: dict) -> ControllerConfig:
+    section = {**section}
+    # manifests written before the key was removed hold it; only true, the
+    # behaviour that remains, can resume
+    if section.pop("carry_forward_on_failure", True) is not True:
+        raise ValueError("carry_forward_on_failure: only true is supported; "
+                         "a failed refine always keeps the prior solution")
+    return ControllerConfig(**section)
+
+
+def _problems(records: list[dict]) -> dict[str, Problem]:
+    problems: dict[str, Problem] = {}
+    for i, rec in enumerate(records):
+        pid, statement, answer = rec["id"], rec["statement"], rec["answer"]
+        if {type(pid), type(statement)} != {str} or type(answer) not in (str, type(None)):
+            raise ValueError(f"record {i}: id, statement and answer must be text")
+        if pid in problems:
+            raise ValueError(f"duplicate problem id {pid!r}")
+        try:
+            problems[pid] = Problem(pid, statement,
+                                    None if answer is None else normalize_answer(answer))
+        except ValueError as e:
+            raise ValueError(f"record {i}: {e}") from e
+    return problems
+
+
+def _sync_mode(mode: str) -> str:
+    if mode not in SYNC_MODES:
+        raise ValueError(f"store_sync must be one of {list(SYNC_MODES)}, not {mode!r}")
+    return mode
+
+
+def run_inputs(manifest: dict) -> RunInputs:
+    """The inputs of a run description: a stored manifest, or the one a config
+    file is read into before its run is written. Each section is checked by
+    the code that builds it, and every error is collected into one
+    ConfigInvalid. A manifest written before parallelism and store_sync were
+    recorded runs at 8 and "always"."""
+    config = manifest.get("config")
+    missing = [key for key in ("problems", "k_trials", "run_seed") if key not in manifest]
+    if not isinstance(config, dict) or "controller" not in config:
+        missing.insert(0, "config.controller")
+    if missing:
+        raise ConfigInvalid([f"{key}: required" for key in missing])
+    errors: list[str] = []
+    backend_config = None
+    if "mock" in config:
+        backend_config = _checked(errors, "mock", mock_spec_from_dict, config["mock"])
+    elif "backend" in config:
+        backend_config = _checked(errors, "backend", lambda: BackendConfig(**config["backend"]))
+    fields = {"parallelism": 8, "store_sync": "always", **manifest}
+    inputs = RunInputs(
+        controller=_checked(errors, "controller", _controller, config["controller"]),
+        prompts=_checked(errors, "prompts", lambda: PromptSet(**config.get("prompts", {}))),
+        problems=_checked(errors, "problems", _problems, fields["problems"]),
+        k_trials=_checked(errors, "experiment", _check_int, "k_trials", fields["k_trials"], 1),
+        run_seed=_checked(errors, "experiment", _check_int, "run_seed", fields["run_seed"]),
+        parallelism=_checked(errors, "experiment", _check_int, "parallelism",
+                             fields["parallelism"], 1),
+        store_sync=_checked(errors, "experiment", _sync_mode, fields["store_sync"]),
+        backend_config=backend_config)
+    if errors:
+        raise ConfigInvalid(errors)
+    return inputs
+
+
+def _backend(inputs: RunInputs, backend):
+    """A context that gives backend or, when it is None, a new backend built
+    from the run's mock or backend section and closed on exit."""
+    if backend is not None:
+        return nullcontext(backend)
+    if isinstance(inputs.backend_config, MockSpec):
+        return nullcontext(MockBackendProvider(inputs.backend_config))
+    if inputs.backend_config is None:
+        raise ConfigInvalid(["the run has no 'mock' or 'backend' section to build"])
+    return closing(HttpBackend(inputs.backend_config))
+
+
+# ---------------------------------------------------------------------------
 # Experiment driver
 # ---------------------------------------------------------------------------
 
@@ -251,18 +365,18 @@ def trial_seed(run_seed: int, problem_id: str, trial_index: int) -> int:
     return derive_seed(run_seed, problem_id, trial_index)
 
 
-def rebuild_trial_states(manifest: dict, events: list[Event]) -> dict[tuple[str, int], TrialState]:
-    """Reconstruct all trial states purely from committed events; an event of
-    an unknown trial, or one whose payload cannot build, is a corrupt log."""
-    run_seed = manifest["run_seed"]
-    controller = manifest["config"]["controller"]["kind"]
+def rebuild_trial_states(manifest: dict | RunInputs,
+                         events: list[Event]) -> dict[tuple[str, int], TrialState]:
+    """Reconstruct all trial states purely from committed events, for a run
+    manifest or the inputs already built from one; an event of an unknown
+    trial, or one whose payload cannot build, is a corrupt log."""
+    inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
-    for p in manifest["problems"]:
-        for t in range(manifest["k_trials"]):
-            tid = (p["id"], t)
-            states[tid] = TrialState(
-                problem_id=p["id"], trial_index=t, controller=controller,
-                seed=trial_seed(run_seed, p["id"], t))
+    for pid in inputs.problems:
+        for t in range(inputs.k_trials):
+            states[(pid, t)] = TrialState(
+                problem_id=pid, trial_index=t, controller=inputs.controller.kind,
+                seed=trial_seed(inputs.run_seed, pid, t))
     for i, ev in enumerate(events):
         if ev.trial_id is None:
             continue
@@ -288,20 +402,20 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
 
     The manifest's config is config_snapshot (its mock or backend section,
     say) with the controller and prompts sections written from config and
-    prompts; the run then takes the path a resume takes, from an empty log.
-    backend is either a single backend object, shared by parallelism threads,
-    or anything with a for_problem(problem) method returning one (the mock
-    needs the per-problem ground truth), whose trials run in order on the
-    calling thread. Returns the run id; the manifest and event log are
-    durable and resumable at every point.
+    prompts. It is built by run_inputs, as a resume builds it, before the run
+    directory is written; the run then takes the path a resume takes, from
+    an empty log. backend is either a single backend object, shared by
+    parallelism threads, or anything with a for_problem(problem) method
+    returning one (the mock needs the per-problem ground truth), whose trials
+    run in order on the calling thread; None builds the one the snapshot's
+    mock or backend section describes. Returns the run id; the manifest and
+    event log are durable and resumable at every point.
     """
-    if k_trials < 1:
-        raise ValueError("k_trials must be >= 1")
     if run_id is None:
         run_id = uuid.uuid4().hex[:12]
     # parallelism and store_sync sit outside the config and the trial inputs,
     # so the store's stamps do not cover them
-    store.create_run(run_id, {
+    manifest = {
         "run_id": run_id,
         "created_at": time.time(),
         "run_seed": run_seed,
@@ -313,64 +427,50 @@ def run_experiment(problems: list[Problem], k_trials: int, config: ControllerCon
         "problems": [{"id": p.problem_id, "statement": p.statement,
                       "answer": p.answer.canonical if p.answer else None}
                      for p in problems],
-    })
-    _run(store, run_id, store.manifest(run_id), backend, parallelism, store_sync)
+    }
+    inputs = run_inputs(manifest)
+    with _backend(inputs, backend) as backend:
+        store.create_run(run_id, manifest)
+        _run(store, run_id, inputs, backend, inputs.parallelism, inputs.store_sync)
     return run_id
 
 
-def resume_experiment(store: RunStore, run_id: str, backend,
+def resume_experiment(store: RunStore, run_id: str, backend=None,
                       parallelism: int | None = None, store_sync: str | None = None) -> None:
     """Complete the remaining trials of a half-finished run.
 
-    parallelism and store_sync default to the run's own, as its manifest
-    records them (8 and "always" for a manifest that predates them).
+    backend, parallelism and store_sync default to the run's own, as its
+    manifest records them; a built backend is closed when the resume ends.
     """
-    manifest = store.manifest(run_id)
-    if parallelism is None:
-        parallelism = manifest.get("parallelism", 8)
-    if store_sync is None:
-        store_sync = manifest.get("store_sync", "always")
-    _run(store, run_id, manifest, backend, parallelism, store_sync)
+    inputs = run_inputs(store.manifest(run_id))
+    with _backend(inputs, backend) as backend:
+        _run(store, run_id, inputs, backend,
+             inputs.parallelism if parallelism is None else parallelism,
+             inputs.store_sync if store_sync is None else store_sync)
 
 
-def run_inputs(manifest: dict) -> tuple[ControllerConfig, PromptSet, dict[str, Problem]]:
-    """The controller config, prompts and problems (by id) of a run manifest;
-    raises ValueError, TypeError or KeyError on one that cannot build."""
-    controller = dict(manifest["config"]["controller"])
-    # manifests written before the key was removed hold it; only true, the
-    # behaviour that remains, can resume
-    if controller.pop("carry_forward_on_failure", True) is not True:
-        raise ValueError("carry_forward_on_failure: only true is supported; "
-                         "a failed refine always keeps the prior solution")
-    problems = {p["id"]: Problem(p["id"], p["statement"],
-                                 None if p["answer"] is None else normalize_answer(p["answer"]))
-                for p in manifest["problems"]}
-    return (ControllerConfig(**controller), PromptSet(**manifest["config"].get("prompts", {})),
-            problems)
-
-
-def _run(store: RunStore, run_id: str, manifest: dict, backend,
+def _run(store: RunStore, run_id: str, inputs: RunInputs, backend,
          parallelism: int, store_sync: str) -> None:
     """Run every trial the log does not show as stopped, then finalize.
 
-    The controller, prompts and problems come from the manifest alone. The
-    log is read once, by the append handle, and the trial states are rebuilt
-    from the events it parsed (none for a fresh run), which are then dropped.
+    The log is read once, by the append handle, and the trial states are
+    rebuilt from the events it parsed (none for a fresh run), which are then
+    dropped.
     """
-    config, prompts, problems = run_inputs(manifest)
     log = store.open_log(run_id, sync=store_sync)
     try:
         if log.finalized:
             return
-        states = rebuild_trial_states(manifest, log.events)
+        states = rebuild_trial_states(inputs, log.events)
         log.events = []
 
         per_problem = hasattr(backend, "for_problem")
 
         def worker(st: TrialState) -> None:
-            problem = problems[st.problem_id]
-            run_trial(config, backend.for_problem(problem) if per_problem else backend,
-                      problem.statement, prompts, st.seed, log, state=st)
+            problem = inputs.problems[st.problem_id]
+            run_trial(inputs.controller,
+                      backend.for_problem(problem) if per_problem else backend,
+                      problem.statement, inputs.prompts, st.seed, log, state=st)
 
         pending = [st for st in states.values() if st.status not in TERMINAL_STATUSES]
         if per_problem:

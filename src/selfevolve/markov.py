@@ -33,6 +33,15 @@ def _check_prob(name: str, p: float) -> None:
         raise ValueError(f"{name} must be a number in [0, 1], not {p!r}")
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> int:
+    """value, if it is an int (not a bool, a float or a numeric string) and at
+    least minimum when one is given; the one integer rule of every section."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound}, not {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TransitionParams:
     """The pair (p_ic, p_ci): improvement and degradation probabilities."""
@@ -65,18 +74,14 @@ class AbsorbingChainParams:
 
     alpha / beta are pass probabilities given an Incorrect / Correct solution.
     y_c0 / y_i0 are probabilities that refinement after a failed verification
-    yields a Correct solution from (Correct, fail) / (Incorrect, fail).
-    y_c1 / y_i1 are the analogous pass-side refinement probabilities; the
-    simplified 4-state matrix never uses them (a pass keeps the solution),
-    and the simulator only applies them in an explicit alternate mode.
+    yields a Correct solution from (Correct, fail) / (Incorrect, fail); a
+    pass keeps the solution.
     """
 
     alpha: float
     beta: float
     y_c0: float
     y_i0: float
-    y_c1: float | None = None
-    y_i1: float | None = None
     accept_limit: int = 5
     reject_limit: int | None = None
 
@@ -85,14 +90,9 @@ class AbsorbingChainParams:
         _check_prob("beta", self.beta)
         _check_prob("y_c0", self.y_c0)
         _check_prob("y_i0", self.y_i0)
-        for name in ("y_c1", "y_i1"):
-            v = getattr(self, name)
-            if v is not None:
-                _check_prob(name, v)
-        if self.accept_limit < 1:
-            raise ValueError("accept_limit must be >= 1")
-        if self.reject_limit is not None and self.reject_limit < 1:
-            raise ValueError("reject_limit must be >= 1")
+        _check_int("accept_limit", self.accept_limit, 1)
+        if self.reject_limit is not None:
+            _check_int("reject_limit", self.reject_limit, 1)
 
 
 @dataclass(frozen=True)
@@ -203,26 +203,21 @@ def simulate_verdep_chain(
     seed: int,
     max_iterations: int,
     initial_state: str = INCORRECT,
-    refine_on_pass: bool = False,
 ) -> tuple[str, bool, ChainTrajectory]:
     """Full-fidelity sample of the verification-dependent process.
 
     Each step verifies (pass w.p. beta if Correct else alpha), updates the
     streak counters (a pass resets the fail counter and vice versa), and on a
-    fail refines with y_c0 / y_i0. By default a pass keeps the solution
-    unchanged, matching the analyzed 4-state matrix; refine_on_pass applies
-    y_c1 / y_i1 instead (no closed-form ground truth for that mode).
+    fail refines with y_c0 / y_i0. A pass keeps the solution unchanged,
+    matching the analyzed 4-state matrix.
 
     Returns (exit kind "Accepted" | "Rejected" | "Budget", final correctness,
     trajectory).
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if refine_on_pass and (acp.y_c1 is None or acp.y_i1 is None):
-        raise ValueError("refine_on_pass requires y_c1 and y_i1")
     random_ = random.Random(seed).random
-    alpha, beta, y_c0, y_i0, y_c1, y_i1 = (
-        acp.alpha, acp.beta, acp.y_c0, acp.y_i0, acp.y_c1, acp.y_i1)
+    alpha, beta, y_c0, y_i0 = acp.alpha, acp.beta, acp.y_c0, acp.y_i0
     accept_limit = acp.accept_limit
     reject_limit = acp.reject_limit if acp.reject_limit is not None else inf
     correct = initial_state == CORRECT
@@ -234,8 +229,6 @@ def simulate_verdep_chain(
             passes += 1
             fails = 0
             verdicts.append(1)
-            if refine_on_pass:
-                correct = random_() < (y_c1 if correct else y_i1)
         else:
             fails += 1
             passes = 0

@@ -9,8 +9,8 @@ import csv
 from pathlib import Path
 
 from .aggregate import WINDOW, metric_rows
-from .answers import normalize_answer
 from .charts import write_line_chart
+from .engine import run_inputs
 from .store import RunStore
 
 METRIC_COLUMNS = ["iteration", "avg_at_k", "cons_at_k", "cons_windowed",
@@ -49,12 +49,11 @@ def write_run_reports(store: RunStore, run_id: str, out_dir: str | Path) -> list
         written.append(out / name)
 
     pooled = []
-    for problem in manifest["problems"]:
-        pid = problem["id"]
-        if problem["answer"] is None:
+    for pid, problem in run_inputs(manifest).problems.items():
+        if problem.answer is None:
             continue
         trials = [st for tid, st in sorted(states.items()) if tid[0] == pid]
-        rows = metric_rows(trials, normalize_answer(problem["answer"]))
+        rows = metric_rows(trials, problem.answer)
         if not rows:
             continue
         table(f"metrics_{pid}.csv", rows, METRIC_COLUMNS)

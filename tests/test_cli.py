@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -7,14 +8,17 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from selfevolve import engine
 from selfevolve.cli import main
 from selfevolve.config import ConfigInvalid, RunConfig, load_problems
+from selfevolve.engine import run_inputs
 from selfevolve.store import RunStore, config_hash, run_dir
 
 from fixtures import CORRUPT_LINE_EDITS
+from stub_server import StubChatServer
 
 
 BASE_CONFIG = """\
@@ -53,11 +57,11 @@ def invoke(*args):
 # --- config validation -------------------------------------------------------
 
 def test_config_loads(workspace):
-    cfg = RunConfig.load(workspace / "config.yaml")
-    assert cfg.k_trials == 2
-    assert cfg.controller.max_iterations == 3
-    assert cfg.run_seed == 11
-    assert len(cfg.load_problems()) == 1
+    inputs = RunConfig.load(workspace / "config.yaml").inputs
+    assert inputs.k_trials == 2
+    assert inputs.controller.max_iterations == 3
+    assert inputs.run_seed == 11
+    assert len(inputs.problems) == 1
 
 
 def test_config_requires_exactly_one_backend(workspace):
@@ -99,11 +103,9 @@ def test_config_collects_multiple_errors(workspace):
 
 
 def test_config_hash_stable_and_sensitive(workspace):
-    cfg = RunConfig.load(workspace / "config.yaml")
-    h1 = config_hash(cfg.snapshot())
-    h2 = config_hash(cfg.snapshot())
-    assert h1 == h2
-    snap = cfg.snapshot()
+    snap = RunConfig.load(workspace / "config.yaml").config
+    h1 = config_hash(snap)
+    assert config_hash(RunConfig.load(workspace / "config.yaml").config) == h1
     snap["controller"]["max_iterations"] = 99
     assert config_hash(snap) != h1
 
@@ -112,13 +114,15 @@ def test_load_problems_jsonl_and_duplicates(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text('{"id": "a", "statement": "q1", "answer": "1"}\n'
                     '{"id": "b", "statement": "q2"}\n')
-    problems = load_problems(path)
-    assert [p.problem_id for p in problems] == ["a", "b"]
-    assert problems[1].answer is None
+    records = load_problems(path)
+    assert [r["id"] for r in records] == ["a", "b"]
+    assert records[1]["answer"] is None
 
+    # the problems are built, and duplicates refused, as a manifest's are
     path.write_text('{"id": "a", "statement": "q1"}\n{"id": "a", "statement": "q2"}\n')
-    with pytest.raises(ConfigInvalid):
-        load_problems(path)
+    with pytest.raises(ConfigInvalid, match="duplicate problem id"):
+        run_inputs({"config": {"controller": {}}, "problems": load_problems(path),
+                    "k_trials": 1, "run_seed": 0})
 
 
 @pytest.mark.parametrize("name, content", [
@@ -190,7 +194,7 @@ HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
                 "  max_attempts: 0\n")
 
 
-@pytest.mark.parametrize("old,new", [
+INVALID_VALUES = [
     ("  p_ic: 0.3", "  p_ic: 2"),
     ('  ground_truth: "60"\n', ""),
     ("  kind: dser", "  kind: bogus"),
@@ -218,14 +222,33 @@ HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
     ("  p_ic: 0.3", '  p_ic: "0.3"'),
     ("  p_ci: 0.1", '  p_ci: "0.1"'),
     ("  alpha: 0.2", '  alpha: "0.2"'),
-], ids=["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "max_attempts: 2.5")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "backoff_base_ms: -5")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "backoff_max_ms: -1")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "max_in_flight: 2.5")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "max_response_tokens: 1.5")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "timeout_s: true")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "rps: true")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "temperature: true")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "max_in_flight: true")),
+    ("controller:", "controler:"),
+    ("  beta: 0.8", "  beta: 0.8\n  betta: 0.2"),
+    ("  k_trials: 2", '  k_trials: "2"'),
+]
+INVALID_VALUE_IDS = ["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
         "max_parse_retries_negative", "max_attempts_zero", "max_in_flight_zero",
         "rps_zero", "k_trials_float", "k_trials_bool", "parallelism_float",
         "run_seed_float", "max_iterations_float", "accept_limit_float",
         "reject_limit_bool", "wrong_answer_space_float", "wrong_answer_space_bool",
         "initial_correct_probability_bool", "alpha_bool", "beta_bool", "p_ic_bool",
-        "p_ic_string", "p_ci_string", "alpha_string"])
+        "p_ic_string", "p_ci_string", "alpha_string", "max_attempts_float",
+        "backoff_base_ms_negative", "backoff_max_ms_negative", "max_in_flight_float",
+        "max_response_tokens_float", "timeout_s_bool", "rps_bool", "temperature_bool",
+        "max_in_flight_bool", "misspelled_section", "unknown_mock_key", "k_trials_string"]
+
+
+@pytest.mark.parametrize("old,new", INVALID_VALUES, ids=INVALID_VALUE_IDS)
 def test_cli_run_rejects_invalid_values(workspace, old, new):
     # each value a dataclass or the integer check rejects is an invalid config
     # (exit 2), reported before a run directory is written
@@ -235,6 +258,38 @@ def test_cli_run_rejects_invalid_values(workspace, old, new):
     assert result.exit_code == 2, result.output
     assert "invalid config" in result.output
     assert not (workspace / "out").exists()
+
+
+def carry_into_manifest(bad_config):
+    """The edit that writes what a config file holds into a run manifest: its
+    mock or backend section, its controller keys and its experiment values,
+    each where a manifest holds it."""
+    def edit(manifest):
+        config = manifest["config"]
+        config.pop("mock")
+        config.update({s: bad_config[s] for s in ("mock", "backend") if s in bad_config})
+        config["controller"].update(bad_config["controller"])
+        manifest.update({k: v for k, v in bad_config["experiment"].items() if k != "problems"})
+    return edit
+
+
+@pytest.mark.parametrize("old,new", [
+    pytest.param(old, new, id=case_id)
+    for (old, new), case_id in zip(INVALID_VALUES, INVALID_VALUE_IDS)
+    if case_id != "misspelled_section"])  # the one case a manifest cannot hold
+def test_cli_resume_refuses_what_run_refuses(workspace, old, new):
+    # a config file and a manifest are built by the same code: a stored
+    # unstamped manifest carrying a value that run refuses makes resume and
+    # analyze refuse it with the same error, before they append or write
+    bad = BASE_CONFIG.replace(old, new)
+    (workspace / "bad.yaml").write_text(bad)
+    refused_run = invoke("run", workspace / "bad.yaml")
+    assert refused_run.exit_code == 2, refused_run.output
+    for command in ("resume", "analyze"):
+        result = edited_manifest_command(workspace, command, carry_into_manifest(
+            yaml.safe_load(bad)))
+        assert result.exit_code == 2, result.output
+        assert result.output == refused_run.output
 
 
 def test_cli_resume_uses_run_settings(workspace, monkeypatch):
@@ -293,31 +348,66 @@ def unknown_prompts_key(manifest):
     manifest["config"]["prompts"]["bogus"] = "x"
 
 
-@pytest.mark.parametrize("edit", [carry_forward_false, unknown_controller_key,
-                                  backend_max_attempts_zero, empty_statement,
-                                  unknown_prompts_key],
-                         ids=lambda edit: edit.__name__)
-def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
-    # a manifest whose config sections or problems cannot build is an invalid
-    # config (exit 2), and the resume appends nothing to the log. Its
-    # config_hash is that of the edited config and it has no inputs_hash, as
-    # when a version before inputs were stamped wrote it so; an edit after the
-    # stamps were written is drift instead (see below)
+def numeric_answer(manifest):
+    manifest["problems"][0]["answer"] = 60
+
+
+def deleted(key):
+    def edit(manifest):
+        del manifest[key]
+    edit.__name__ = f"deleted_{key}"
+    return edit
+
+
+def bogus_store_sync(manifest):
+    manifest["store_sync"] = "bogus"
+
+
+def parallelism_zero(manifest):
+    manifest["parallelism"] = 0
+
+
+def edited_manifest_command(workspace, command, edit):
+    """The result of command on a CLI run whose manifest edit(manifest)
+    changed, unstamped as older versions wrote it, and whose log was then
+    cut in half; asserts that the command left the log as it was and wrote
+    no report directory.
+
+    The config_hash is that of the edited config, or empty without one, and
+    there is no inputs_hash; an edit after the stamps were written is drift
+    instead (see below)."""
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
     path = run_dir(runs, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
     edit(manifest)
-    manifest["config_hash"] = config_hash(manifest["config"])
+    manifest["config_hash"] = config_hash(manifest["config"]) if "config" in manifest else ""
     del manifest["inputs_hash"]
     path.write_text(json.dumps(manifest))
     log = run_dir(runs, run_id) / "events.log"
     full = log.read_bytes()
     log.write_bytes(full[:len(full) // 2])
-    result = invoke("resume", run_id, "--runs-dir", runs)
-    assert result.exit_code == 2, result.output
-    assert "invalid config" in result.output
+    out = ["--out", workspace / "a"] if command == "analyze" else []
+    result = invoke(command, run_id, "--runs-dir", runs, *out)
     assert log.read_bytes() == full[:len(full) // 2]
+    assert not (workspace / "a").exists()
+    shutil.rmtree(workspace / "out")
+    return result
+
+
+@pytest.mark.parametrize("edit", [carry_forward_false, unknown_controller_key,
+                                  backend_max_attempts_zero, empty_statement,
+                                  unknown_prompts_key, numeric_answer, *map(deleted, (
+                                      "config", "problems", "k_trials", "run_seed")),
+                                  bogus_store_sync, parallelism_zero],
+                         ids=lambda edit: edit.__name__)
+def test_cli_resume_rejects_invalid_manifest_config(workspace, edit):
+    # a manifest whose config sections, problems or run settings cannot build
+    # is an invalid config (exit 2) for resume and analyze alike
+    for command in ("resume", "analyze"):
+        result = edited_manifest_command(workspace, command, edit)
+        assert result.exit_code == 2, result.output
+        assert "invalid config" in result.output
 
 
 def edited_p_ic(manifest):
@@ -397,10 +487,9 @@ def test_cli_refuses_damaged_manifest(workspace, command, damage, code):
 def api_run(workspace):
     """A run made by calling run_experiment, as a script would; (store, run_id)."""
     store = RunStore(workspace / "runs")
-    problems = load_problems(workspace / "problems.json")
     cfg = RunConfig.load(workspace / "config.yaml")
-    run_id = engine.run_experiment(problems, 2, cfg.controller, cfg.build_backend(),
-                                   cfg.prompts, 11, store, config_snapshot=cfg.snapshot())
+    run_id = engine.run_experiment(list(cfg.inputs.problems.values()), 2, cfg.inputs.controller,
+                                   None, cfg.inputs.prompts, 11, store, config_snapshot=cfg.config)
     return store, run_id
 
 
@@ -411,7 +500,7 @@ def test_cli_analyze_refuses_edited_api_run(workspace):
     path = run_dir(store.root, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
     assert manifest["config_hash"] == config_hash(
-        RunConfig.load(workspace / "config.yaml").snapshot())
+        RunConfig.load(workspace / "config.yaml").config)
     assert manifest["inputs_hash"]
     edited_p_ic(manifest)
     path.write_text(json.dumps(manifest))
@@ -529,6 +618,32 @@ def test_cli_refuses_log_without_its_first_events(workspace):
     result = invoke("resume", run_id, "--runs-dir", runs)
     assert result.exit_code == 4, result.output
     assert log.read_bytes() == headless
+
+
+def test_cli_http_run_and_resume_close_their_connections(workspace):
+    # run and resume build the HTTP client from the run's backend section and
+    # close its connections when they end
+    def all_closed(server):
+        deadline = time.monotonic() + 5.0
+        while server.closed < server.connections and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return server.connections > 0 and server.closed == server.connections
+
+    with StubChatServer([]) as server:
+        http = f"backend:\n  endpoint: {server.endpoint}\n  model: m\n"
+        (workspace / "http.yaml").write_text(BASE_CONFIG.replace(MOCK_SECTION, http).replace(
+            "max_iterations: 3", "max_iterations: 3\n  max_parse_retries: 0"))
+        result = invoke("run", workspace / "http.yaml")
+        assert result.exit_code == 0, result.output
+        assert all_closed(server)
+        run_id = result.output.strip().splitlines()[-1]
+        log = run_dir(workspace / "out" / "runs", run_id) / "events.log"
+        full = log.read_bytes()
+        log.write_bytes(full[:len(full) // 2])
+        connections = server.connections
+        result = invoke("resume", run_id, "--runs-dir", workspace / "out" / "runs")
+        assert result.exit_code == 0, result.output
+        assert server.connections > connections and all_closed(server)
 
 
 def test_cli_verdep_run_emits_exit_ratios(workspace):

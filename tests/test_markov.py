@@ -379,23 +379,6 @@ def test_verdep_exit_counts_partition():
     assert sum(counts.values()) == 2000
 
 
-def test_verdep_refine_on_pass_mode():
-    acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5,
-                               y_c1=1.0, y_i1=1.0)
-    _, correct, traj = simulate_verdep_chain(acp, seed=5, max_iterations=50,
-                                             refine_on_pass=True)
-    # any pass forces a Correct refinement in this configuration
-    for verdict, state in zip(traj.verdicts, traj.states[1:]):
-        if verdict == 1:
-            assert state == CORRECT
-
-
-def test_verdep_refine_on_pass_requires_probs():
-    acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5)
-    with pytest.raises(ValueError):
-        simulate_verdep_chain(acp, seed=0, max_iterations=10, refine_on_pass=True)
-
-
 # --- parameter validation ----------------------------------------------------
 
 def test_invalid_probabilities_rejected():
@@ -407,3 +390,13 @@ def test_invalid_probabilities_rejected():
         AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, accept_limit=0)
     with pytest.raises(ValueError):
         AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, reject_limit=0)
+
+
+@pytest.mark.parametrize("limits", [
+    dict(accept_limit=2.5), dict(accept_limit=True), dict(reject_limit=2.5),
+    dict(reject_limit="3")], ids=["accept_float", "accept_bool", "reject_float",
+                                  "reject_string"])
+def test_chain_limits_must_be_integers(limits):
+    # a fractional accept_limit would make absorption_probabilities use beta**2.5
+    with pytest.raises(ValueError, match="must be an integer"):
+        AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, **limits)
