@@ -3,25 +3,36 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import sys
+from contextlib import contextmanager
 
 import click
 
 from . import markov
-from .config import RunConfig
-from .engine import ConfigInvalid, resume_experiment, run_experiment
+from .config import read_config
+from .engine import ConfigInvalid, resume_experiment, run_inputs, start_run
 from .reports import write_run_reports
-from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable, config_hash
+from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable
 
-EXIT_CONFIG_INVALID = 2
-EXIT_CONFIG_DRIFT = 3
-EXIT_CORRUPT_LOG = 4
-EXIT_STORE_UNAVAILABLE = 5
+# what a run command exits with on each error, and its message's prefix
+_EXITS = {ConfigInvalid: (2, "invalid config: "), ConfigDrift: (3, ""),
+          CorruptLog: (4, ""), StoreUnavailable: (5, "store unavailable: ")}
 
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _exit_on_error():
+    """Exits with the code _EXITS gives an error the body raises."""
+    try:
+        yield
+    except tuple(_EXITS) as e:
+        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(e, kind))
+        _fail(code, f"{prefix}{e}")
 
 
 @click.group()
@@ -33,21 +44,11 @@ def main():
 @click.argument("config_path", type=click.Path(exists=True))
 def cmd_run(config_path):
     """Launch an experiment described by a config file; prints the run id."""
-    try:
-        cfg = RunConfig.load(config_path)
-        inputs = cfg.inputs
-        store = RunStore(cfg.output_dir / "runs")
-        # no backend: the run builds the one its config's mock or backend
-        # section describes
-        run_id = run_experiment(
-            list(inputs.problems.values()), inputs.k_trials, inputs.controller, None,
-            inputs.prompts, inputs.run_seed, store, parallelism=inputs.parallelism,
-            config_snapshot=cfg.config, store_sync=inputs.store_sync)
-    except ConfigInvalid as e:
-        _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
-    except StoreUnavailable as e:
-        _fail(EXIT_STORE_UNAVAILABLE, f"store unavailable: {e}")
-    write_run_reports(store, run_id, cfg.output_dir / "reports" / run_id)
+    with _exit_on_error():
+        description, output_dir = read_config(config_path)
+        store = RunStore(output_dir / "runs")
+        run_id = start_run(store, description)
+    write_run_reports(store, run_id, output_dir / "reports" / run_id)
     click.echo(run_id)
 
 
@@ -55,25 +56,21 @@ def cmd_run(config_path):
 @click.argument("run_id")
 @click.option("--runs-dir", type=click.Path(), default="out/runs", show_default=True)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Live config to validate against the manifest snapshot.")
+              help="Config file the run must still match: its problems, run seed, trial "
+                   "count, controller, prompts and mock or backend (exit 3 if not).")
 @click.option("--reports-dir", type=click.Path(), default=None)
 def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
-    try:
+    with _exit_on_error():
         store = RunStore(runs_dir)
         if config_path is not None:
-            stamped = store.manifest(run_id)["config_hash"]
-            if config_hash(RunConfig.load(config_path).config) != stamped:
+            # the run's parallelism and store_sync stand, whatever the file says
+            run = run_inputs(store.manifest(run_id))
+            live = run_inputs(read_config(config_path)[0])
+            if dataclasses.replace(live, parallelism=run.parallelism,
+                                   store_sync=run.store_sync) != run:
                 raise ConfigDrift("live config differs from the manifest snapshot")
         resume_experiment(store, run_id)
-    except ConfigInvalid as e:
-        _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
-    except ConfigDrift as e:
-        _fail(EXIT_CONFIG_DRIFT, str(e))
-    except CorruptLog as e:
-        _fail(EXIT_CORRUPT_LOG, str(e))
-    except StoreUnavailable as e:
-        _fail(EXIT_STORE_UNAVAILABLE, f"store unavailable: {e}")
     if reports_dir is not None:
         write_run_reports(store, run_id, reports_dir)
     click.echo(run_id)
@@ -86,17 +83,8 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
 def cmd_analyze(run_id, runs_dir, out_dir):
     """Recompute metric tables and charts from a run's event log, up to the
     iteration each problem's trials have all reached."""
-    try:
-        store = RunStore(runs_dir)
-        written = write_run_reports(store, run_id, out_dir)
-    except ConfigInvalid as e:
-        _fail(EXIT_CONFIG_INVALID, f"invalid config: {e}")
-    except ConfigDrift as e:
-        _fail(EXIT_CONFIG_DRIFT, str(e))
-    except CorruptLog as e:
-        _fail(EXIT_CORRUPT_LOG, str(e))
-    except StoreUnavailable as e:
-        _fail(EXIT_STORE_UNAVAILABLE, f"store unavailable: {e}")
+    with _exit_on_error():
+        written = write_run_reports(RunStore(runs_dir), run_id, out_dir)
     for path in written:
         click.echo(str(path))
 

@@ -1,6 +1,6 @@
 """The trial loop, shared by the fixed-horizon controller (DSER) and the
 verification-dependent accept/reject one (VERDEP), the one builder of a
-run's inputs, and the experiment driver.
+run's inputs from its manifest, and the driver that starts and resumes runs.
 
 Every reasoning call context is exactly (q, s, p_v, v, p_r) or a prefix of
 it; earlier solutions never re-enter the context, so the process is Markov in
@@ -393,46 +393,48 @@ def rebuild_trial_states(manifest: dict | RunInputs,
     return states
 
 
-def run_experiment(problems: list[Problem], k_trials: int, config: ControllerConfig,
-                   backend, prompts: PromptSet, run_seed: int, store: RunStore,
-                   parallelism: int = 8, run_id: str | None = None,
-                   config_snapshot: dict | None = None, store_sync: str = "always") -> str:
-    """Run problems x k_trials independent trials; at most parallelism
-    backend calls are in flight at once.
+def start_run(store: RunStore, description: dict, backend=None,
+              run_id: str | None = None) -> str:
+    """Write and run a new run of description, a manifest body: config,
+    problems, k_trials, run_seed and, if given, parallelism and store_sync.
 
-    The manifest's config is config_snapshot (its mock or backend section,
-    say) with the controller and prompts sections written from config and
-    prompts. It is built by run_inputs, as a resume builds it, before the run
-    directory is written; the run then takes the path a resume takes, from
-    an empty log. backend is either a single backend object, shared by
-    parallelism threads, or anything with a for_problem(problem) method
-    returning one (the mock needs the per-problem ground truth), whose trials
-    run in order on the calling thread; None builds the one the snapshot's
-    mock or backend section describes. Returns the run id; the manifest and
-    event log are durable and resumable at every point.
+    run_inputs builds it, as a resume builds a manifest, before the run
+    directory is written; the manifest records the controller and prompts as
+    built, and the run settings used. The run then takes a resume's path from
+    an empty log. backend is a single backend shared by parallelism threads,
+    or anything with a for_problem(problem) method returning one (the mock
+    needs each problem's ground truth), whose trials run in order on the
+    calling thread; None builds the one the config describes. Returns the
+    run id; the run is resumable at every point.
     """
+    inputs = run_inputs(description)
     if run_id is None:
         run_id = uuid.uuid4().hex[:12]
     # parallelism and store_sync sit outside the config and the trial inputs,
     # so the store's stamps do not cover them
-    manifest = {
-        "run_id": run_id,
-        "created_at": time.time(),
-        "run_seed": run_seed,
-        "k_trials": k_trials,
-        "config": dict(config_snapshot or {}, controller=dataclasses.asdict(config),
-                       prompts=dataclasses.asdict(prompts)),
-        "parallelism": parallelism,
-        "store_sync": store_sync,
-        "problems": [{"id": p.problem_id, "statement": p.statement,
-                      "answer": p.answer.canonical if p.answer else None}
-                     for p in problems],
-    }
-    inputs = run_inputs(manifest)
+    manifest = dict(
+        description, run_id=run_id, created_at=time.time(),
+        config=dict(description["config"], controller=dataclasses.asdict(inputs.controller),
+                    prompts=dataclasses.asdict(inputs.prompts)),
+        parallelism=inputs.parallelism, store_sync=inputs.store_sync)
     with _backend(inputs, backend) as backend:
         store.create_run(run_id, manifest)
         _run(store, run_id, inputs, backend, inputs.parallelism, inputs.store_sync)
     return run_id
+
+
+def run_experiment(problems: list[Problem], k_trials: int, config: ControllerConfig,
+                   backend, prompts: PromptSet, run_seed: int, store: RunStore,
+                   parallelism: int = 8, run_id: str | None = None,
+                   store_sync: str = "always") -> str:
+    """start_run of problems x k_trials trials; the run's config holds only
+    the controller and the prompts, so backend must be given."""
+    return start_run(store, {
+        "config": {"controller": vars(config), "prompts": vars(prompts)},
+        "problems": [{"id": p.problem_id, "statement": p.statement,
+                      "answer": p.answer.canonical if p.answer else None} for p in problems],
+        "k_trials": k_trials, "run_seed": run_seed, "parallelism": parallelism,
+        "store_sync": store_sync}, backend, run_id)
 
 
 def resume_experiment(store: RunStore, run_id: str, backend=None,

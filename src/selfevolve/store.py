@@ -191,7 +191,6 @@ class RunStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def create_run(self, run_id: str, manifest: dict) -> None:
         d = run_dir(self.root, run_id)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from selfevolve import engine
 from selfevolve.cli import main
-from selfevolve.config import ConfigInvalid, RunConfig, load_problems
+from selfevolve.config import ConfigInvalid, load_problems, read_config
 from selfevolve.engine import run_inputs
 from selfevolve.store import RunStore, config_hash, run_dir
 
@@ -57,7 +57,10 @@ def invoke(*args):
 # --- config validation -------------------------------------------------------
 
 def test_config_loads(workspace):
-    inputs = RunConfig.load(workspace / "config.yaml").inputs
+    description, output_dir = read_config(workspace / "config.yaml")
+    assert output_dir == workspace.resolve() / "out"
+    assert "k_trials" not in description["config"]
+    inputs = run_inputs(description)
     assert inputs.k_trials == 2
     assert inputs.controller.max_iterations == 3
     assert inputs.run_seed == 11
@@ -68,20 +71,20 @@ def test_config_requires_exactly_one_backend(workspace):
     text = BASE_CONFIG + "backend:\n  endpoint: http://x/v1\n"
     (workspace / "both.yaml").write_text(text)
     with pytest.raises(ConfigInvalid) as err:
-        RunConfig.load(workspace / "both.yaml")
+        read_config(workspace / "both.yaml")
     assert any("exactly one" in e for e in err.value.errors)
 
     neither = BASE_CONFIG.replace("mock:", "notmock:")
     (workspace / "neither.yaml").write_text(neither)
     with pytest.raises(ConfigInvalid):
-        RunConfig.load(workspace / "neither.yaml")
+        read_config(workspace / "neither.yaml")
 
 
 def test_config_unknown_keys_reported(workspace):
     text = BASE_CONFIG.replace("  kind: dser", "  kind: dser\n  bogus_key: 1")
     (workspace / "bad.yaml").write_text(text)
     with pytest.raises(ConfigInvalid) as err:
-        RunConfig.load(workspace / "bad.yaml")
+        read_config(workspace / "bad.yaml")
     assert any("bogus_key" in e for e in err.value.errors)
 
 
@@ -89,7 +92,7 @@ def test_config_missing_problems_file(workspace):
     text = BASE_CONFIG.replace("problems.json", "absent.json")
     (workspace / "bad.yaml").write_text(text)
     with pytest.raises(ConfigInvalid) as err:
-        RunConfig.load(workspace / "bad.yaml")
+        read_config(workspace / "bad.yaml")
     assert any("absent.json" in e for e in err.value.errors)
 
 
@@ -98,16 +101,16 @@ def test_config_collects_multiple_errors(workspace):
             "experiment:\n  k_trials: 0\n")
     (workspace / "bad.yaml").write_text(text)
     with pytest.raises(ConfigInvalid) as err:
-        RunConfig.load(workspace / "bad.yaml")
+        read_config(workspace / "bad.yaml")
     assert len(err.value.errors) >= 3
 
 
 def test_config_hash_stable_and_sensitive(workspace):
-    snap = RunConfig.load(workspace / "config.yaml").config
-    h1 = config_hash(snap)
-    assert config_hash(RunConfig.load(workspace / "config.yaml").config) == h1
-    snap["controller"]["max_iterations"] = 99
-    assert config_hash(snap) != h1
+    config = read_config(workspace / "config.yaml")[0]["config"]
+    h1 = config_hash(config)
+    assert config_hash(read_config(workspace / "config.yaml")[0]["config"]) == h1
+    config["controller"]["max_iterations"] = 99
+    assert config_hash(config) != h1
 
 
 def test_load_problems_jsonl_and_duplicates(tmp_path):
@@ -485,23 +488,22 @@ def test_cli_refuses_damaged_manifest(workspace, command, damage, code):
 
 
 def api_run(workspace):
-    """A run made by calling run_experiment, as a script would; (store, run_id)."""
+    """A run of the config file made by calling start_run, as a script would;
+    (store, run_id)."""
     store = RunStore(workspace / "runs")
-    cfg = RunConfig.load(workspace / "config.yaml")
-    run_id = engine.run_experiment(list(cfg.inputs.problems.values()), 2, cfg.inputs.controller,
-                                   None, cfg.inputs.prompts, 11, store, config_snapshot=cfg.config)
-    return store, run_id
+    return store, engine.start_run(store, read_config(workspace / "config.yaml")[0])
 
 
 def test_cli_analyze_refuses_edited_api_run(workspace):
-    # run_experiment stamps the manifest as the CLI run does, with the hash
-    # that resume --config compares against
+    # start_run writes the manifest the CLI run writes, stamps and all, and
+    # analyze refuses it once edited
     store, run_id = api_run(workspace)
     path = run_dir(store.root, run_id) / "manifest.json"
     manifest = json.loads(path.read_text())
-    assert manifest["config_hash"] == config_hash(
-        RunConfig.load(workspace / "config.yaml").config)
-    assert manifest["inputs_hash"]
+    cli_id = run_cli_experiment(workspace)
+    cli = json.loads((run_dir(workspace / "out" / "runs", cli_id) / "manifest.json").read_text())
+    assert ({k: v for k, v in manifest.items() if k not in ("run_id", "created_at")}
+            == {k: v for k, v in cli.items() if k not in ("run_id", "created_at")})
     edited_p_ic(manifest)
     path.write_text(json.dumps(manifest))
     result = invoke("analyze", run_id, "--runs-dir", store.root, "--out", workspace / "a")
@@ -541,18 +543,98 @@ def test_cli_resume_noop_on_finished_run(workspace):
     assert after == before
 
 
-def test_cli_resume_config_drift(workspace):
+def edited_problems(**fields):
+    def edit(workspace):
+        (workspace / "problems.json").write_text(json.dumps([dict(PROBLEMS[0], **fields)]))
+    edit.__name__ = "edited_" + "_".join(fields)
+    return edit
+
+
+def added_problem(workspace):
+    (workspace / "problems.json").write_text(json.dumps(TWO_PROBLEMS))
+
+
+def edited_config(old, new, name):
+    def edit(workspace):
+        (workspace / "config.yaml").write_text(BASE_CONFIG.replace(old, new))
+    edit.__name__ = name
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    edited_config("max_iterations: 3", "max_iterations: 4", "edited_max_iterations"),
+    edited_config("run_seed: 11", "run_seed: 12", "edited_run_seed"),
+    edited_config("p_ic: 0.3", "p_ic: 0.4", "edited_p_ic"),
+    edited_problems(statement="what is 58+2?"), edited_problems(answer="61"),
+    edited_problems(id="q0"), added_problem,
+], ids=lambda edit: edit.__name__)
+def test_cli_resume_config_drift(workspace, edit):
+    # resume --config compares what the live config and its problems file
+    # build with what the manifest builds: a change to any trial's chain is
+    # drift (exit 3), found before the cut log is touched
     run_id = run_cli_experiment(workspace)
-    drifted = BASE_CONFIG.replace("max_iterations: 3", "max_iterations: 4")
-    (workspace / "drift.yaml").write_text(drifted)
+    log = run_dir(workspace / "out" / "runs", run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    edit(workspace)
     result = invoke("resume", run_id, "--runs-dir", workspace / "out" / "runs",
-                    "--config", workspace / "drift.yaml")
-    assert result.exit_code == 3
+                    "--config", workspace / "config.yaml")
+    assert result.exit_code == 3, result.output
+    assert "live config differs" in result.output
+    assert log.read_bytes() == full[:len(full) // 2]
 
 
-def test_cli_resume_missing_run(workspace):
-    result = invoke("resume", "nope", "--runs-dir", workspace / "out" / "runs")
-    assert result.exit_code == 5
+def live_parallelism(workspace, manifest):
+    (workspace / "config.yaml").write_text(
+        BASE_CONFIG.replace("parallelism: 2", "parallelism: 1"))
+
+
+def live_store_sync(workspace, manifest):
+    (workspace / "config.yaml").write_text(
+        BASE_CONFIG.replace("parallelism: 2", "parallelism: 2\n  store_sync: flush"))
+
+
+def carry_forward_true(workspace, manifest):
+    manifest["config"]["controller"]["carry_forward_on_failure"] = True
+
+
+def parent_form(workspace, manifest):
+    # the config of a CLI run written before the manifest was the config
+    # file's description held the experiment's seed and trial count too
+    manifest["config"].update(k_trials=manifest["k_trials"], run_seed=manifest["run_seed"])
+
+
+@pytest.mark.parametrize("edit", [live_parallelism, live_store_sync, carry_forward_true,
+                                  parent_form], ids=lambda edit: edit.__name__)
+def test_cli_resume_config_accepts_the_same_inputs(workspace, edit):
+    # a live config that differs from the run only in the run settings, which
+    # the run's own override, or a re-stamped manifest in an older form that
+    # builds the same inputs, is no drift: the cut run resumes with --config
+    # to the uninterrupted run's reports
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    path = run_dir(runs, run_id) / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(workspace, manifest)
+    manifest["config_hash"] = config_hash(manifest["config"])
+    path.write_text(json.dumps(manifest))
+    log = run_dir(runs, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    result = invoke("resume", run_id, "--runs-dir", runs, "--config", workspace / "config.yaml",
+                    "--reports-dir", workspace / "resumed")
+    assert result.exit_code == 0, result.output
+    assert (report_bytes(workspace / "resumed")
+            == report_bytes(workspace / "out" / "reports" / run_id))
+
+
+def test_cli_resume_missing_run(tmp_path):
+    # a runs dir that does not exist, a mistyped one say, is a missing store
+    # (exit 5) for resume and analyze, and neither leaves a directory behind
+    for command, out in (("resume", []), ("analyze", ["--out", tmp_path / "a"])):
+        result = invoke(command, "nope", "--runs-dir", tmp_path / "typo" / "runs", *out)
+        assert result.exit_code == 5, result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_analyze_idempotent(workspace):

@@ -355,13 +355,7 @@ def run_mock_experiment(tmp_path, *, k=4, horizon=5, run_seed=7, kind=DSER,
     config = ControllerConfig(kind=kind, max_iterations=horizon, accept_limit=accept_limit,
                               reject_limit=reject_limit)
     run_id = run_experiment(problems, k, config, backend, PROMPTS, run_seed,
-                            store, parallelism=parallelism,
-                            config_snapshot={
-                                "controller": {"kind": kind,
-                                               "max_iterations": horizon},
-                                "prompts": {},
-                            },
-                            store_sync=store_sync)
+                            store, parallelism=parallelism, store_sync=store_sync)
     return store, run_id
 
 
