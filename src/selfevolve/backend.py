@@ -15,6 +15,7 @@ import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
@@ -48,14 +49,11 @@ class ResponseTruncated(BackendError):
 
 @dataclass(frozen=True)
 class ReasoningRequest:
-    """Context segments for one call, e.g. [q; s; p_v; v; p_r] for a refine."""
+    """Context segments for one call, e.g. [q; s; p_v; v; p_r] for a refine,
+    and the seed that makes its sampling reproducible."""
 
     context: tuple[str, ...]
-    request_seed: int | None = None
-
-    def __post_init__(self):
-        if not self.context:
-            raise ValueError("context must be non-empty")
+    request_seed: int
 
     def rendered(self) -> str:
         return CONTEXT_SEPARATOR.join(self.context)
@@ -117,8 +115,8 @@ class BackendConfig:
             if value is None and name == "rps":
                 continue
             if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not (value > 0 if bound == ">" else value >= 0)):
-                raise ValueError(f"{name} must be a number {bound} 0, not {value!r}")
+                    or not (0 < value < inf if bound == ">" else 0 <= value < inf)):
+                raise ValueError(f"{name} must be a finite number {bound} 0, not {value!r}")
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")
@@ -208,9 +206,8 @@ class HttpBackend:
             "messages": [{"role": "user", "content": request.rendered()}],
             "max_tokens": self.config.max_response_tokens,
             "temperature": self.config.temperature,
+            "seed": request.request_seed,
         }
-        if request.request_seed is not None:
-            body["seed"] = request.request_seed
         payload = json.dumps(body).encode("utf-8")
 
         last_error: Exception | None = None
@@ -328,8 +325,6 @@ class MockBackend:
         request seed; an incorrect solution's answer is the next draw."""
         spec, context, seed = self.spec, request.context, request.request_seed
         n = len(context)
-        if seed is None:
-            raise ValueError("mock backend requires request_seed")
         if n not in (2, 3, 5):
             raise ValueError(f"cannot classify request with {n} context segments")
         with self._lock:

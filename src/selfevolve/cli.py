@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import sys
 from contextlib import contextmanager
@@ -12,17 +11,13 @@ import click
 from . import markov
 from .config import read_config
 from .engine import ConfigInvalid, resume_experiment, run_inputs, start_run
-from .reports import write_run_reports
+from .reports import write_metrics_csv, write_run_reports
 from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable
 
-# what a run command exits with on each error, and its message's prefix
+# what a command exits with on each error, and its message's prefix
 _EXITS = {ConfigInvalid: (2, "invalid config: "), ConfigDrift: (3, ""),
-          CorruptLog: (4, ""), StoreUnavailable: (5, "store unavailable: ")}
-
-
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+          CorruptLog: (4, ""), StoreUnavailable: (5, "store unavailable: "),
+          markov.DegenerateChain: (1, ""), markov.SingularChain: (1, "")}
 
 
 @contextmanager
@@ -32,7 +27,8 @@ def _exit_on_error():
         yield
     except tuple(_EXITS) as e:
         code, prefix = next(v for kind, v in _EXITS.items() if isinstance(e, kind))
-        _fail(code, f"{prefix}{e}")
+        click.echo(f"error: {prefix}{e}", err=True)
+        sys.exit(code)
 
 
 @click.group()
@@ -104,10 +100,8 @@ def _prob_option(name, **kw):
 def sim_stationary(p_ic, p_ci):
     """Stationary split and mixing rate of the two-state chain."""
     params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
-    try:
+    with _exit_on_error():
         pi = markov.stationary_distribution(params)
-    except markov.DegenerateChain as e:
-        _fail(1, str(e))
     click.echo(f"pi_c={pi.pi_c:.6f} pi_i={pi.pi_i:.6f} "
                f"lambda2={markov.convergence_rate(params):.6f}")
 
@@ -121,8 +115,7 @@ def sim_stationary(p_ic, p_ci):
 def sim_trajectory(p_ic, p_ci, start, steps, seed):
     """One seeded sample path of the two-state chain."""
     params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
-    traj = markov.simulate_chain(params, start, steps, seed)
-    click.echo("".join(traj.states))
+    click.echo("".join(markov.simulate_chain(params, start, steps, seed)))
 
 
 @cmd_simulate.command("absorb")
@@ -136,10 +129,8 @@ def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
     """Closed-form absorption probabilities of the simplified 4-state chain."""
     acp = markov.AbsorbingChainParams(alpha=alpha, beta=beta, y_c0=y_c0,
                                       y_i0=y_i0, accept_limit=accept_limit)
-    try:
+    with _exit_on_error():
         result = markov.absorption_probabilities(acp, start)
-    except markov.SingularChain as e:
-        _fail(1, str(e))
     click.echo(f"p_correct_exit={result.p_correct_exit:.6f} "
                f"p_incorrect_exit={result.p_incorrect_exit:.6f}")
 
@@ -168,11 +159,8 @@ def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
     fractions = {k: v / samples for k, v in counts.items()}
     click.echo(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["exit", "fraction"])
-            for k, v in fractions.items():
-                writer.writerow([k, v])
+        write_metrics_csv(csv_path, [{"exit": k, "fraction": v} for k, v in fractions.items()],
+                          ["exit", "fraction"])
 
 
 if __name__ == "__main__":

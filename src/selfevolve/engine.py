@@ -26,7 +26,7 @@ from .backend import (BackendConfig, BackendError, HttpBackend, MockBackendProvi
                       ReasoningRequest, ResponseTruncated, mock_spec_from_dict)
 from .markov import _check_int
 from .seeds import derive_seed
-from .store import SYNC_MODES, CorruptLog, Event, RunLog, RunStore
+from .store import CorruptLog, Event, RunLog, RunStore, sync_mode
 
 DEFAULT_SOLVE_PROMPT = (
     "Solve the following problem step by step. "
@@ -304,12 +304,6 @@ def _problems(records: list[dict]) -> dict[str, Problem]:
     return problems
 
 
-def _sync_mode(mode: str) -> str:
-    if mode not in SYNC_MODES:
-        raise ValueError(f"store_sync must be one of {list(SYNC_MODES)}, not {mode!r}")
-    return mode
-
-
 def run_inputs(manifest: dict) -> RunInputs:
     """The inputs of a run description: a stored manifest, or the one a config
     file is read into before its run is written. Each section is checked by
@@ -337,7 +331,7 @@ def run_inputs(manifest: dict) -> RunInputs:
         run_seed=_checked(errors, "experiment", _check_int, "run_seed", fields["run_seed"]),
         parallelism=_checked(errors, "experiment", _check_int, "parallelism",
                              fields["parallelism"], 1),
-        store_sync=_checked(errors, "experiment", _sync_mode, fields["store_sync"]),
+        store_sync=_checked(errors, "experiment", sync_mode, fields["store_sync"]),
         backend_config=backend_config)
     if errors:
         raise ConfigInvalid(errors)
@@ -369,7 +363,8 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                          events: list[Event]) -> dict[tuple[str, int], TrialState]:
     """Reconstruct all trial states purely from committed events, for a run
     manifest or the inputs already built from one; an event of an unknown
-    trial, or one whose payload cannot build, is a corrupt log."""
+    trial, one whose payload cannot build, or a record that is not its
+    trial's next is a corrupt log."""
     inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
     for pid in inputs.problems:
@@ -384,8 +379,10 @@ def rebuild_trial_states(manifest: dict | RunInputs,
             st = states[ev.trial_id]
             if ev.kind == "IterationCommitted":
                 record = IterationRecord(**ev.payload["record"])
-                if record.index == len(st.records):
-                    st.records.append(record)
+                if record.index != len(st.records):
+                    raise CorruptLog(f"event seq {ev.seq} commits record {record.index!r} "
+                                     f"of trial {ev.trial_id}, not {len(st.records)}", i)
+                st.records.append(record)
             elif ev.kind == "TrialExited":
                 st.status = ev.payload["status"]
         except (KeyError, TypeError) as e:
@@ -457,14 +454,14 @@ def _run(store: RunStore, run_id: str, inputs: RunInputs, backend,
 
     The log is read once, by the append handle, and the trial states are
     rebuilt from the events it parsed (none for a fresh run), which are then
-    dropped.
+    dropped; a finalized log is rebuilt too, so a corrupt one is refused.
     """
     log = store.open_log(run_id, sync=store_sync)
     try:
-        if log.finalized:
-            return
         states = rebuild_trial_states(inputs, log.events)
         log.events = []
+        if log.finalized:
+            return
 
         per_problem = hasattr(backend, "for_problem")
 

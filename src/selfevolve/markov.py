@@ -9,7 +9,7 @@ deterministic given a seed and safe to evaluate in parallel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import inf
 
 CORRECT = "C"
@@ -18,10 +18,6 @@ INCORRECT = "I"
 
 class DegenerateChain(ValueError):
     """p_ic = p_ci = 0: every distribution is stationary, no unique answer."""
-
-
-class RejectingConditionPresent(ValueError):
-    """The 4-state absorbing matrix only models the chain without a reject limit."""
 
 
 class SingularChain(ValueError):
@@ -101,16 +97,6 @@ class AbsorptionResult:
 
     p_correct_exit: float
     p_incorrect_exit: float
-    start: str
-
-
-@dataclass
-class ChainTrajectory:
-    """One realized path. Reproducible: same seed + params give the same path."""
-
-    states: list[str]
-    seed: int
-    verdicts: list[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +135,9 @@ def evolve_distribution(
 
 def simulate_chain(
     params: TransitionParams, initial_state: str, n_steps: int, seed: int
-) -> ChainTrajectory:
-    """Sample one path of length n_steps + 1 starting at initial_state."""
+) -> list[str]:
+    """The states of one path of length n_steps + 1 starting at initial_state;
+    the same seed and params give the same path."""
     if initial_state not in (CORRECT, INCORRECT):
         raise ValueError(f"initial_state must be {CORRECT!r} or {INCORRECT!r}")
     if n_steps < 0:
@@ -163,7 +150,7 @@ def simulate_chain(
         if rng.random() < flip_p:
             correct = not correct
         states.append(CORRECT if correct else INCORRECT)
-    return ChainTrajectory(states=states, seed=seed)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +160,7 @@ def simulate_chain(
 
 def absorption_probabilities(acp: AbsorbingChainParams, start: str) -> AbsorptionResult:
     """Exit split (I - Q)^-1 R from transient start state "S1" or "S2", for
-    the 4-state chain without a reject limit.
+    the 4-state chain without a reject limit: acp.reject_limit is not read.
 
     S1/S2 are Correct/Incorrect and ongoing. A round from S1 accepts with
     b = beta^accept_limit, from S2 with a = alpha^accept_limit; otherwise it
@@ -186,16 +173,13 @@ def absorption_probabilities(acp: AbsorbingChainParams, start: str) -> Absorptio
     det = a - (1 - b) * a * acp.y_c0 + (1 - a) * b * acp.y_i0
     if det <= 1e-15:
         raise SingularChain(f"det(I - Q) = {det}; no absorption possible")
-    if acp.reject_limit is not None:
-        raise RejectingConditionPresent(
-            "the 4-state chain models only the chain without a reject limit")
     if start == "S1":
         p_correct = (1 - (1 - a) * (1 - acp.y_i0)) * b / det
         p_incorrect = (1 - b) * a * (1 - acp.y_c0) / det
     else:
         p_correct = (1 - a) * b * acp.y_i0 / det
         p_incorrect = (1 - (1 - b) * acp.y_c0) * a / det
-    return AbsorptionResult(p_correct, p_incorrect, start)
+    return AbsorptionResult(p_correct, p_incorrect)
 
 
 def simulate_verdep_chain(
@@ -203,7 +187,7 @@ def simulate_verdep_chain(
     seed: int,
     max_iterations: int,
     initial_state: str = INCORRECT,
-) -> tuple[str, bool, ChainTrajectory]:
+) -> tuple[str, bool, list[int]]:
     """Full-fidelity sample of the verification-dependent process.
 
     Each step verifies (pass w.p. beta if Correct else alpha), updates the
@@ -212,7 +196,7 @@ def simulate_verdep_chain(
     matching the analyzed 4-state matrix.
 
     Returns (exit kind "Accepted" | "Rejected" | "Budget", final correctness,
-    trajectory).
+    the verdicts in order, 1 for a pass).
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -221,7 +205,6 @@ def simulate_verdep_chain(
     accept_limit = acp.accept_limit
     reject_limit = acp.reject_limit if acp.reject_limit is not None else inf
     correct = initial_state == CORRECT
-    states = [CORRECT if correct else INCORRECT]
     verdicts: list[int] = []
     passes = fails = 0
     for _ in range(max_iterations):
@@ -234,12 +217,11 @@ def simulate_verdep_chain(
             passes = 0
             verdicts.append(0)
             correct = random_() < (y_c0 if correct else y_i0)
-        states.append(CORRECT if correct else INCORRECT)
         if passes >= accept_limit or fails >= reject_limit:
             break
     exit_kind = ("Accepted" if passes >= accept_limit else
                  "Rejected" if fails >= reject_limit else "Budget")
-    return exit_kind, correct, ChainTrajectory(states=states, seed=seed, verdicts=verdicts)
+    return exit_kind, correct, verdicts
 
 
 def verdep_exit_counts(

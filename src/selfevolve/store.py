@@ -30,8 +30,6 @@ from pathlib import Path
 
 SCHEMA_VERSION = 2
 
-SYNC_MODES = ("always", "flush")
-
 
 class StoreUnavailable(Exception):
     pass
@@ -58,6 +56,13 @@ class Event:
     kind: str
     payload: dict
     ts: float
+
+
+def sync_mode(mode: str) -> str:
+    """mode, if a log can be opened with it (see RunLog)."""
+    if mode not in ("always", "flush"):
+        raise ValueError(f"store_sync must be one of ['always', 'flush'], not {mode!r}")
+    return mode
 
 
 def run_dir(root: str | Path, run_id: str) -> Path:
@@ -87,10 +92,8 @@ class RunLog:
     """
 
     def __init__(self, path: Path, sync: str = "always"):
-        if sync not in SYNC_MODES:
-            raise ValueError(f"unknown sync mode {sync!r}")
         self._path = path
-        self._sync = sync
+        self._sync = sync_mode(sync)
         self._lock = threading.Lock()
         self._next_seq = 1
         self.finalized = False

@@ -1,7 +1,8 @@
 """Transcript fixtures for the answer pipeline: two solve/verify/refine case
 blocks in the style of real model output, including colored boxed answers.
 Also edits that turn one IterationCommitted line of an event log into a line
-that does not decode, parse or build its record."""
+that does not decode, parse or build its record, or whose record is not its
+trial's next."""
 
 import json
 
@@ -85,4 +86,8 @@ CORRUPT_LINE_EDITS = {
     "seq_float": _edit_event(lambda e: e.update(seq=float(e["seq"]))),
     "seq_bool": _edit_event(lambda e: e.update(seq=True)),
     "seq_null": _edit_event(lambda e: e.update(seq=None)),
+    "record_index_skipped": _edit_event(lambda e: e["payload"]["record"].update(
+        index=e["payload"]["record"]["index"] + 1)),
+    "record_index_repeated": _edit_event(lambda e: e["payload"]["record"].update(
+        index=e["payload"]["record"]["index"] - 1)),
 }

@@ -20,7 +20,6 @@ from selfevolve.markov import (
     CORRECT,
     AbsorbingChainParams,
     AbsorptionResult,
-    RejectingConditionPresent,
     SingularChain,
     StateDistribution,
     TransitionParams,
@@ -80,9 +79,7 @@ def absorbing_transition_matrix(acp: AbsorbingChainParams) -> np.ndarray:
     S1/S2: Correct/Incorrect and ongoing; S3/S4: Correct/Incorrect terminated.
     """
     if acp.reject_limit is not None:
-        raise RejectingConditionPresent(
-            "the 4-state matrix models only the chain without a reject limit"
-        )
+        raise ValueError("the 4-state matrix models only the chain without a reject limit")
     b = acp.beta**acp.accept_limit
     a = acp.alpha**acp.accept_limit
     return np.array(
@@ -103,7 +100,7 @@ def absorption_by_solve(acp: AbsorbingChainParams, start: str) -> AbsorptionResu
     q, r = p[:2, :2], p[:2, 2:]
     absorb = np.linalg.solve(np.eye(2) - q, r)
     row = absorb[0 if start == "S1" else 1]
-    return AbsorptionResult(float(row[0]), float(row[1]), start)
+    return AbsorptionResult(float(row[0]), float(row[1]))
 
 
 def check_overconfidence_bound(acp: AbsorbingChainParams) -> tuple[bool, float]:
@@ -135,7 +132,7 @@ def verdep_exit_frequencies(
     max_rounds rounds.
     """
     if acp.reject_limit is not None:
-        raise RejectingConditionPresent("exit frequencies need reject_limit absent")
+        raise ValueError("exit frequencies need the chain without a reject limit")
     if start not in ("S1", "S2"):
         raise ValueError("start must be 'S1' or 'S2'")
     rng = np.random.default_rng(seed)

@@ -1,7 +1,7 @@
 """Local chat-completion stub for exercising the HTTP backend offline.
 
 Replays a scripted list of responses in request order and records every
-request body it receives. A response dict may carry "delay_s", the time the
+request body it receives, with its headers and its arrival time. A response dict may carry "delay_s", the time the
 stub waits before answering it. Connections are HTTP/1.1 keep-alive; with
 idle_timeout_s set, the stub closes a connection that stays idle that long.
 """
@@ -34,6 +34,8 @@ class StubChatServer:
     def __init__(self, script: list, idle_timeout_s: float | None = None):
         self.script = list(script)
         self.requests: list[dict] = []
+        self.headers: list[dict[str, str]] = []
+        self.arrivals: list[float] = []  # time.monotonic() at each request's arrival
         self.connections = self.closed = self.active = self.max_active = 0
         self._lock = threading.Lock()
         outer = self
@@ -57,6 +59,8 @@ class StubChatServer:
                 body = json.loads(self.rfile.read(length))
                 with outer._lock:
                     outer.requests.append(body)
+                    outer.headers.append(dict(self.headers))
+                    outer.arrivals.append(time.monotonic())
                     entry = outer.script.pop(0) if outer.script else completion("ok")
                     outer.active += 1
                     outer.max_active = max(outer.max_active, outer.active)

@@ -68,8 +68,6 @@ def test_strip_thinking_preserves_prefix():
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        ReasoningRequest(context=())
-    with pytest.raises(ValueError):
         BackendConfig(endpoint="http://e/v1", model="m", max_response_tokens=0)
     with pytest.raises(ValueError):
         BackendConfig(endpoint="http://e/v1", model="m", temperature=-1)
@@ -188,6 +186,17 @@ def test_mock_wrong_answers_diverge():
     assert max(answers.values()) < 2000 * 0.05
 
 
+@pytest.mark.parametrize("truth,space", [("100000", 1), ("100001", 3)], ids=["space_1", "space_3"])
+def test_mock_wrong_answer_never_the_ground_truth(truth, space):
+    # a draw equal to a ground truth inside the wrong-answer range gives the
+    # first answer past the range instead
+    spec = make_spec(ground_truth=AnswerKey(truth), initial_correct_probability=0.0,
+                     wrong_answer_space=space)
+    answers = {extract_answer(mock_call(spec, "solve", "I", seed=seed).summary_text).canonical
+               for seed in range(200)}
+    assert answers == {str(100_000 + i) for i in range(space + 1)} - {truth}
+
+
 def test_mock_backend_classification():
     spec = make_spec()
     backend = MockBackend(spec)
@@ -211,10 +220,13 @@ def test_mock_backend_classification():
     assert pass_rate["C"] == pytest.approx(spec.beta, abs=0.05)
 
 
-def test_mock_backend_requires_seed():
+def test_mock_backend_refuses_unclassifiable_request():
+    # the segment count is the request kind: 2 solve, 3 verify, 5 refine
     backend = MockBackend(make_spec())
-    with pytest.raises(ValueError):
-        backend.reasoning_call(ReasoningRequest(context=("p", "q")))
+    for n in (0, 1, 4, 6):
+        with pytest.raises(ValueError, match=f"with {n} context segments"):
+            backend.reasoning_call(ReasoningRequest(context=("x",) * n, request_seed=1))
+    assert backend.call_count == 0
 
 
 # --- HTTP backend ------------------------------------------------------------
@@ -282,6 +294,55 @@ def test_http_retries_exhausted(http_backend):
         backend = http_backend(server.endpoint)
         with pytest.raises(BackendUnavailable):
             backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+
+
+@pytest.mark.parametrize("status,retried", [(400, False), (404, False), (429, True)])
+def test_http_client_error_not_retried(http_backend, status, retried):
+    # a 4xx is the request's own fault and is answered once; only a 429, a
+    # rate limit, is worth another attempt
+    with StubChatServer([status, completion("ok")]) as server:
+        backend = http_backend(server.endpoint)
+        request = ReasoningRequest(context=("q",), request_seed=1)
+        if retried:
+            assert backend.reasoning_call(request).summary_text == "ok"
+        else:
+            with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
+                backend.reasoning_call(request)
+    assert len(server.requests) == 1 + retried
+
+
+def test_http_rps_spaces_calls(http_backend):
+    # the rate limit is shared: requests from concurrent threads start at
+    # least 1/rps apart
+    rps, n = 10, 5
+    with StubChatServer([]) as server:
+        backend = http_backend(server.endpoint, rps=rps)
+        threads = [threading.Thread(target=backend.reasoning_call, args=(
+            ReasoningRequest(context=("q",), request_seed=i),)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    assert len(server.arrivals) == n
+    # the stub times arrivals, not sends, so allow for delivery jitter
+    gaps = [b - a for a, b in zip(server.arrivals, server.arrivals[1:])]
+    assert min(gaps) >= 1 / rps - 0.025
+    assert server.arrivals[-1] - server.arrivals[0] >= (n - 1) / rps - 0.025
+
+
+@pytest.mark.parametrize("token,header", [("tok-1", "Bearer tok-1"), ("", None), (None, None)],
+                         ids=["set", "empty", "unset"])
+def test_http_auth_env(http_backend, monkeypatch, token, header):
+    # auth_env names the variable the bearer token is read from; an unset or
+    # empty one sends no Authorization header
+    if token is None:
+        monkeypatch.delenv("SELFEVOLVE_TEST_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("SELFEVOLVE_TEST_TOKEN", token)
+    with StubChatServer([]) as server:
+        backend = http_backend(server.endpoint, auth_env="SELFEVOLVE_TEST_TOKEN")
+        backend.reasoning_call(ReasoningRequest(context=("q",), request_seed=1))
+    assert server.headers[0].get("Authorization") == header
 
 
 MALFORMED_BODIES = [

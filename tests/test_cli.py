@@ -12,9 +12,11 @@ import yaml
 from click.testing import CliRunner
 
 from selfevolve import engine
+from selfevolve.answers import normalize_answer
+from selfevolve.backend import MockBackendProvider, mock_spec_from_dict
 from selfevolve.cli import main
 from selfevolve.config import ConfigInvalid, load_problems, read_config
-from selfevolve.engine import run_inputs
+from selfevolve.engine import ControllerConfig, Problem, PromptSet, run_inputs
 from selfevolve.store import RunStore, config_hash, run_dir
 
 from fixtures import CORRUPT_LINE_EDITS
@@ -128,21 +130,34 @@ def test_load_problems_jsonl_and_duplicates(tmp_path):
                     "k_trials": 1, "run_seed": 0})
 
 
-@pytest.mark.parametrize("name, content", [
-    ("problems.json", b'[{"id": "p0", "statement": "q"'),
-    ("problems.jsonl", b'{"id": "p0", "statement": "q"}\n{"id": "p1",\n'),
-    ("problems.yaml", b"- id: p0\n  statement: [unclosed\n"),
-    ("problems.json", b'[{"id": "p0", "statement": "\xff"}]'),
-], ids=["json", "jsonl", "yaml", "not_utf8"])
-def test_cli_run_rejects_unreadable_problems_file(workspace, name, content):
-    # a problems file that does not parse is an invalid config (exit 2),
-    # reported before a run directory is written
+UNREADABLE = "cannot read problems file"
+NO_RECORDS = "problems file must be a non-empty list"
+NO_ID = "record 1 needs 'id' and 'statement'"
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("problems.json", b'[{"id": "p0", "statement": "q"', UNREADABLE),
+    ("problems.jsonl", b'{"id": "p0", "statement": "q"}\n{"id": "p1",\n', UNREADABLE),
+    ("problems.yaml", b"- id: p0\n  statement: [unclosed\n", UNREADABLE),
+    ("problems.json", b'[{"id": "p0", "statement": "\xff"}]', UNREADABLE),
+    ("problems.json", b"[]", NO_RECORDS),
+    ("problems.jsonl", b"\n", NO_RECORDS),
+    ("problems.yaml", b"p0: q\n", NO_RECORDS),
+    ("problems.json", b'[{"id": "p0", "statement": "q"}, {"statement": "q"}]', NO_ID),
+    ("problems.jsonl", b'{"id": "p0", "statement": "q"}\n{"id": "p1"}\n', NO_ID),
+    ("problems.yaml", b"- id: p0\n  statement: q\n- p1\n", NO_ID),
+], ids=["json", "jsonl", "yaml", "not_utf8", "empty_json", "empty_jsonl", "yaml_mapping",
+        "no_id", "no_statement", "not_a_record"])
+def test_cli_run_rejects_unreadable_problems_file(workspace, name, content, message):
+    # a problems file that does not parse, or holds no list of records with
+    # an id and a statement, is an invalid config (exit 2), reported before a
+    # run directory is written
     (workspace / name).write_bytes(content)
     text = BASE_CONFIG.replace("problems: problems.json", f"problems: {name}")
     (workspace / "bad.yaml").write_text(text)
     result = invoke("run", workspace / "bad.yaml")
     assert result.exit_code == 2, result.output
-    assert "cannot read problems file" in result.output
+    assert message in result.output
     assert not (workspace / "out").exists()
 
 
@@ -193,6 +208,7 @@ def test_cli_run_rejects_unknown_store_sync(workspace):
 
 
 MOCK_SECTION = BASE_CONFIG[:BASE_CONFIG.index("controller:")]
+EXPERIMENT_SECTION = BASE_CONFIG[BASE_CONFIG.index("experiment:"):BASE_CONFIG.index("output_dir:")]
 HTTP_SECTION = ("backend:\n  endpoint: http://127.0.0.1:9/v1\n  model: m\n"
                 "  max_attempts: 0\n")
 
@@ -237,6 +253,14 @@ INVALID_VALUES = [
     ("controller:", "controler:"),
     ("  beta: 0.8", "  beta: 0.8\n  betta: 0.2"),
     ("  k_trials: 2", '  k_trials: "2"'),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "timeout_s: .inf")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "rps: .inf")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "temperature: .inf")),
+    (MOCK_SECTION, HTTP_SECTION.replace("  max_attempts: 0\n", "").replace("http:", "ftp:")),
+    (BASE_CONFIG, "- mock\n- controller\n"),
+    (BASE_CONFIG, "mock: {p_ic: [0.3\n"),
+    (EXPERIMENT_SECTION, "experiment: [problems.json]\n"),
+    ("  k_trials: 2", "  k_trials: 2\n  k_trails: 3"),
 ]
 INVALID_VALUE_IDS = ["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
@@ -248,7 +272,12 @@ INVALID_VALUE_IDS = ["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_
         "p_ic_string", "p_ci_string", "alpha_string", "max_attempts_float",
         "backoff_base_ms_negative", "backoff_max_ms_negative", "max_in_flight_float",
         "max_response_tokens_float", "timeout_s_bool", "rps_bool", "temperature_bool",
-        "max_in_flight_bool", "misspelled_section", "unknown_mock_key", "k_trials_string"]
+        "max_in_flight_bool", "misspelled_section", "unknown_mock_key", "k_trials_string",
+        "timeout_s_inf", "rps_inf", "temperature_inf", "endpoint_ftp", "root_not_mapping",
+        "not_yaml", "experiment_not_mapping", "unknown_experiment_key"]
+# the cases only a config file can hold: a manifest has no sections of its own
+FILE_ONLY_CASES = {"misspelled_section", "root_not_mapping", "not_yaml",
+                   "experiment_not_mapping", "unknown_experiment_key"}
 
 
 @pytest.mark.parametrize("old,new", INVALID_VALUES, ids=INVALID_VALUE_IDS)
@@ -279,7 +308,7 @@ def carry_into_manifest(bad_config):
 @pytest.mark.parametrize("old,new", [
     pytest.param(old, new, id=case_id)
     for (old, new), case_id in zip(INVALID_VALUES, INVALID_VALUE_IDS)
-    if case_id != "misspelled_section"])  # the one case a manifest cannot hold
+    if case_id not in FILE_ONLY_CASES])
 def test_cli_resume_refuses_what_run_refuses(workspace, old, new):
     # a config file and a manifest are built by the same code: a stored
     # unstamped manifest carrying a value that run refuses makes resume and
@@ -649,6 +678,39 @@ def test_cli_analyze_idempotent(workspace):
         assert path.read_bytes() == (out2 / path.name).read_bytes()
 
 
+def test_cli_analyze_skips_problem_without_answer(workspace):
+    # a problem with no answer has no accuracy to report: analyze writes no
+    # file for it, and the answered problem's reports are as a run alone gives
+    alone = run_cli_experiment(workspace)
+    (workspace / "problems.json").write_text(json.dumps(
+        PROBLEMS + [{"id": "p1", "statement": "what is 6+1?"}]))
+    run_id = run_cli_experiment(workspace)
+    result = invoke("analyze", run_id, "--runs-dir", workspace / "out" / "runs",
+                    "--out", workspace / "a")
+    assert result.exit_code == 0, result.output
+    assert report_bytes(workspace / "a") == report_bytes(workspace / "out" / "reports" / alone)
+
+
+def test_cli_resume_api_run_without_backend_section(workspace):
+    # a run_experiment run records no mock or backend section, so only its
+    # caller can pass the backend: resume refuses it (exit 2) and leaves the
+    # cut log as it was, while analyze needs no backend
+    store = RunStore(workspace / "runs")
+    spec = mock_spec_from_dict(yaml.safe_load(BASE_CONFIG)["mock"])
+    run_id = engine.run_experiment(
+        [Problem("p0", "what is 59+1?", normalize_answer("60"))], 2,
+        ControllerConfig(max_iterations=3), MockBackendProvider(spec), PromptSet(), 11, store)
+    log = run_dir(store.root, run_id) / "events.log"
+    full = log.read_bytes()
+    log.write_bytes(full[:len(full) // 2])
+    result = invoke("resume", run_id, "--runs-dir", store.root)
+    assert result.exit_code == 2, result.output
+    assert "the run has no 'mock' or 'backend' section to build" in result.output
+    assert log.read_bytes() == full[:len(full) // 2]
+    result = invoke("analyze", run_id, "--runs-dir", store.root, "--out", workspace / "a")
+    assert result.exit_code == 0, result.output
+
+
 def test_cli_analyze_dser_writes_no_exit_ratios(workspace):
     run_id = run_cli_experiment(workspace)
     result = invoke("analyze", run_id, "--runs-dir", workspace / "out" / "runs",
@@ -660,14 +722,20 @@ def test_cli_analyze_dser_writes_no_exit_ratios(workspace):
 
 @pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
 def test_cli_analyze_corrupt_log(workspace, edit):
+    # a finished run's log with a corrupt middle line exits 4 from analyze,
+    # and from resume, which rebuilds a finalized log too and leaves it as it was
     run_id = run_cli_experiment(workspace)
     log = run_dir(workspace / "out" / "runs", run_id) / "events.log"
     lines = log.read_bytes().splitlines()
     lines[2] = edit(lines[2])
-    log.write_bytes(b"\n".join(lines) + b"\n")
+    corrupt = b"\n".join(lines) + b"\n"
+    log.write_bytes(corrupt)
     result = invoke("analyze", run_id, "--runs-dir", workspace / "out" / "runs",
                     "--out", workspace / "a")
     assert result.exit_code == 4, result.output
+    result = invoke("resume", run_id, "--runs-dir", workspace / "out" / "runs")
+    assert result.exit_code == 4, result.output
+    assert log.read_bytes() == corrupt
 
 
 @pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
@@ -751,6 +819,17 @@ def test_simulate_stationary_known_values():
 def test_simulate_stationary_degenerate():
     result = invoke("simulate", "stationary", "--p-ic", "0", "--p-ci", "0")
     assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: p_ic = p_ci = 0 has no unique stationary distribution\n"
+
+
+def test_simulate_absorb_singular():
+    # alpha = beta = 0 never accepts, so no exit split exists
+    result = invoke("simulate", "absorb", "--alpha", "0", "--beta", "0",
+                    "--y-c0", "0.5", "--y-i0", "0.5")
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: det(I - Q) = 0.0; no absorption possible\n"
 
 
 def test_simulate_trajectory_deterministic():

@@ -8,10 +8,7 @@ from selfevolve.markov import (
     CORRECT,
     INCORRECT,
     AbsorbingChainParams,
-    AbsorptionResult,
-    ChainTrajectory,
     DegenerateChain,
-    RejectingConditionPresent,
     SingularChain,
     StateDistribution,
     TransitionParams,
@@ -158,30 +155,23 @@ def test_absorption_matches_linear_solve():
             assert abs(got.p_incorrect_exit - want.p_incorrect_exit) <= tol
 
 
-def test_absorption_rejects_reject_limit():
-    acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5,
-                               reject_limit=10)
-    with pytest.raises(RejectingConditionPresent):
-        absorption_probabilities(acp, "S2")
-
-
 # --- trajectory simulation ---------------------------------------------------
 
 def test_simulate_chain_absorbing_by_construction():
-    traj = simulate_chain(TransitionParams(0.0, 0.0), INCORRECT, 50, seed=3)
-    assert traj.states == [INCORRECT] * 51
+    states = simulate_chain(TransitionParams(0.0, 0.0), INCORRECT, 50, seed=3)
+    assert states == [INCORRECT] * 51
 
 
 def test_simulate_chain_deterministic():
     params = TransitionParams(0.3, 0.1)
     a = simulate_chain(params, INCORRECT, 200, seed=42)
     b = simulate_chain(params, INCORRECT, 200, seed=42)
-    assert a.states == b.states
+    assert a == b
 
 
 def test_simulate_chain_length_and_start():
-    traj = simulate_chain(TransitionParams(0.5, 0.5), CORRECT, 0, seed=1)
-    assert traj.states == [CORRECT]
+    states = simulate_chain(TransitionParams(0.5, 0.5), CORRECT, 0, seed=1)
+    assert states == [CORRECT]
 
 
 def test_monte_carlo_matches_stationary():
@@ -231,7 +221,7 @@ def test_absorbing_matrix_row_stochastic_random():
 def test_absorbing_matrix_rejects_reject_limit():
     acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5,
                                reject_limit=10)
-    with pytest.raises(RejectingConditionPresent):
+    with pytest.raises(ValueError, match="without a reject limit"):
         absorbing_transition_matrix(acp)
 
 
@@ -302,20 +292,20 @@ def test_overconfidence_randomized():
 
 def test_verdep_certain_acceptance_from_correct():
     acp = AbsorbingChainParams(alpha=0.0, beta=1.0, y_c0=0.5, y_i0=0.5)
-    exit_kind, correct, traj = simulate_verdep_chain(acp, seed=1, max_iterations=100,
-                                                     initial_state=CORRECT)
+    exit_kind, correct, verdicts = simulate_verdep_chain(acp, seed=1, max_iterations=100,
+                                                         initial_state=CORRECT)
     assert exit_kind == "Accepted"
     assert correct
-    assert len(traj.verdicts) == acp.accept_limit
+    assert verdicts == [1] * acp.accept_limit
 
 
 def test_verdep_certain_rejection():
     acp = AbsorbingChainParams(alpha=0.0, beta=0.0, y_c0=0.0, y_i0=0.0,
                                reject_limit=10)
-    exit_kind, correct, traj = simulate_verdep_chain(acp, seed=1, max_iterations=100)
+    exit_kind, correct, verdicts = simulate_verdep_chain(acp, seed=1, max_iterations=100)
     assert exit_kind == "Rejected"
     assert not correct
-    assert len(traj.verdicts) == 10
+    assert verdicts == [0] * 10
 
 
 def test_verdep_deterministic():
@@ -337,10 +327,10 @@ def test_verdep_streak_reset_semantics():
     acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.3, y_i0=0.3,
                                reject_limit=4, accept_limit=3)
     for seed in range(50):
-        exit_kind, _, traj = simulate_verdep_chain(acp, seed=seed, max_iterations=200)
-        pass_streaks, fail_streaks = streaks(traj.verdicts, 1), streaks(traj.verdicts, 0)
+        exit_kind, _, verdicts = simulate_verdep_chain(acp, seed=seed, max_iterations=200)
+        pass_streaks, fail_streaks = streaks(verdicts, 1), streaks(verdicts, 0)
         for i, (p, f) in enumerate(zip(pass_streaks, fail_streaks)):
-            last = i == len(traj.verdicts) - 1
+            last = i == len(verdicts) - 1
             if p >= acp.accept_limit:
                 assert last and exit_kind == "Accepted"
             if f >= acp.reject_limit:

@@ -300,7 +300,8 @@ def test_load_run_fresh(tmp_path):
         assert st.status == "running"
 
 
-def test_sync_modes(tmp_path):
+def test_log_sync_is_always_or_flush(tmp_path):
+    # the log refuses any other mode with the error a config's store_sync gets
     store = make_store(tmp_path)
     for mode in ("always", "flush"):
         log = store.open_log("r1", sync=mode)
@@ -310,7 +311,7 @@ def test_sync_modes(tmp_path):
             "prompt_tokens": 0, "completion_tokens": 0}})
         log.close()
     for mode in ("commit", "bogus"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"store_sync must be one of .*, not '{mode}'"):
             store.open_log("r1", sync=mode)
 
 
