@@ -117,6 +117,14 @@ class BackendConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not (0 < value < inf if bound == ">" else 0 <= value < inf)):
                 raise ValueError(f"{name} must be a finite number {bound} 0, not {value!r}")
+        # a socket timeout or a sleep longer than the platform's limit overflows;
+        # max_in_flight throttled calls can queue max_in_flight / rps seconds
+        limit = threading.TIMEOUT_MAX
+        for name, over in (("timeout_s", self.timeout_s > limit),
+                           ("backoff_max_ms", self.backoff_max_ms > 1000 * limit),
+                           ("rps", self.max_in_flight > (self.rps or inf) * limit)):
+            if over:
+                raise ValueError(f"{name} makes a wait longer than the platform's {limit:.0f} s")
         url = urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http(s) URL, got {self.endpoint!r}")

@@ -90,11 +90,16 @@ class IterationRecord:
     verification_text: str | None = None
     verdict: int | None = None
     failure: str | None = None
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
 
     def to_dict(self) -> dict:
         return dict(vars(self))
+
+
+def _kept(kind: str, record: dict) -> bool:
+    """Whether a record's step (a failed call or a VERDEP pass) carries its
+    prior solution forward, so that its commit line leaves it out."""
+    return record["index"] > 0 and (record.get("failure") is not None
+                                    or kind == VERDEP and record.get("verdict") == 1)
 
 
 @dataclass(frozen=True)
@@ -181,8 +186,8 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
     and refines after a fail (an unparseable verdict counts as a fail); it
     also exits on accept_limit consecutive passes or reject_limit consecutive
     fails. A solve that stays unparseable keeps its text, with no answer. A
-    failed verify or refine carries the prior solution forward; the tokens of
-    a failed refine are not counted.
+    failed verify or refine carries the prior solution forward; a commit line
+    leaves out null fields and a solution it repeats (_kept).
     """
     if state is None:
         state = TrialState(problem_id, trial_index, config.kind, seed)
@@ -210,26 +215,21 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
                 backend, context, derive_seed(seed, n, "verify"), calls, "verify", config,
                 _verdict)
             passes, fails = _streaks(passes, fails, verdict)
-            response = None
             if verified is not None and not (verdep and verdict == 1):
                 response, answer, failure = _call(
                     backend, context + (verified.summary_text, prompts.refine_prompt),
                     derive_seed(seed, n, "refine"), calls, "refine", config, extract_answer)
-            # a failed verify or refine, or a VERDEP pass, carries the prior
-            # solution forward; a failed refine's tokens go with its response
-            if response is None or failure is not None:
-                response, text, answer = None, prior.solution_text, prior.answer
+            if _kept(config.kind, {"index": n, "failure": failure, "verdict": verdict}):
+                text, answer = prior.solution_text, prior.answer
             else:
                 text, answer = response.summary_text, answer.canonical
         record = IterationRecord(n, text, answer, verified.summary_text if verified else None,
                                  verdict, failure)
-        for r in (verified, response):
-            if r is not None:
-                record.prompt_tokens += r.prompt_tokens
-                record.completion_tokens += r.completion_tokens
         state.records.append(record)
         if log is not None:
-            log.append("IterationCommitted", {"record": record.to_dict(), "calls": calls},
+            omit = ("solution_text", "answer") if _kept(config.kind, vars(record)) else ()
+            line = {k: v for k, v in vars(record).items() if v is not None and k not in omit}
+            log.append("IterationCommitted", {"record": line, "calls": calls},
                        trial_id=state.trial_id)
     state.status = (ACCEPTED_EXIT if passes >= accept else
                     REJECTED_EXIT if fails >= reject else COMPLETED)
@@ -364,7 +364,8 @@ def rebuild_trial_states(manifest: dict | RunInputs,
     """Reconstruct all trial states purely from committed events, for a run
     manifest or the inputs already built from one; an event of an unknown
     trial, one whose payload cannot build, or a record that is not its
-    trial's next is a corrupt log."""
+    trial's next is a corrupt log. A kept record's solution comes from the
+    previous one; older records' token totals are dropped."""
     inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
     for pid in inputs.problems:
@@ -378,11 +379,17 @@ def rebuild_trial_states(manifest: dict | RunInputs,
         try:
             st = states[ev.trial_id]
             if ev.kind == "IterationCommitted":
-                record = IterationRecord(**ev.payload["record"])
-                if record.index != len(st.records):
-                    raise CorruptLog(f"event seq {ev.seq} commits record {record.index!r} "
+                fields = ev.payload["record"]
+                if fields["index"] != len(st.records):
+                    raise CorruptLog(f"event seq {ev.seq} commits record {fields['index']!r} "
                                      f"of trial {ev.trial_id}, not {len(st.records)}", i)
-                st.records.append(record)
+                if "prompt_tokens" in fields:  # a schema 1 or 2 record's token totals
+                    fields = {k: v for k, v in fields.items() if not k.endswith("_tokens")}
+                if _kept(st.controller, fields):
+                    prior = st.records[-1]
+                    fields = {"solution_text": prior.solution_text, "answer": prior.answer,
+                              **fields}
+                st.records.append(IterationRecord(**fields))
             elif ev.kind == "TrialExited":
                 st.status = ev.payload["status"]
         except (KeyError, TypeError) as e:

@@ -9,9 +9,9 @@ and discarded on load; anything else malformed is a corrupt log. Reads stream
 the log one line at a time and keep only the parsed events; an append handle
 keeps none once its opener has rebuilt the trials from them.
 
-Schema 2 appends one IterationCommitted {record, calls} per iteration, then
-TrialExited and RunFinalized; schema 1 logs, which also hold per-call events,
-still load because rebuilding reads only the commit kinds.
+Schemas 2 and 3 append one IterationCommitted {record, calls} per iteration,
+then TrialExited and RunFinalized; schema 1 logs, which also hold per-call
+events, still load because rebuilding reads only the commit kinds.
 
 A manifest is stamped on creation with config_hash, over its config, and
 inputs_hash, over its run seed, trial count and problems; every read checks
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class StoreUnavailable(Exception):

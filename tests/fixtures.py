@@ -1,8 +1,8 @@
 """Transcript fixtures for the answer pipeline: two solve/verify/refine case
 blocks in the style of real model output, including colored boxed answers.
 Also edits that turn one IterationCommitted line of an event log into a line
-that does not decode, parse or build its record, or whose record is not its
-trial's next."""
+that does not decode, parse or build its record, whose record is not its
+trial's next, or that leaves out the solution of a record that made one."""
 
 import json
 
@@ -74,6 +74,15 @@ def _edit_event(change):
     return edit
 
 
+def _failed_verify_without_text(event):
+    # a record that failed verification and did not fail a call was refined,
+    # so its line must hold the new solution under either controller
+    record = event["payload"]["record"]
+    record.update(verdict=0)
+    record.pop("failure", None)
+    record.pop("solution_text", None)
+
+
 # name -> edit of one log line, given and returned without its newline
 CORRUPT_LINE_EDITS = {
     "garbage": lambda line: b"garbage",
@@ -90,4 +99,5 @@ CORRUPT_LINE_EDITS = {
         index=e["payload"]["record"]["index"] + 1)),
     "record_index_repeated": _edit_event(lambda e: e["payload"]["record"].update(
         index=e["payload"]["record"]["index"] - 1)),
+    "failed_verify_missing_text": _edit_event(_failed_verify_without_text),
 }

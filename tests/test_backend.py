@@ -73,6 +73,18 @@ def test_request_validation():
         BackendConfig(endpoint="http://e/v1", model="m", temperature=-1)
 
 
+def test_backend_waits_up_to_the_platform_limit():
+    # a socket and a sleep take threading.TIMEOUT_MAX seconds, and no more;
+    # max_in_flight throttled calls queue max_in_flight / rps seconds
+    limit = threading.TIMEOUT_MAX
+    BackendConfig(endpoint="http://e/v1", model="m", timeout_s=limit, rps=2 / limit,
+                  max_in_flight=2, backoff_max_ms=int(limit) * 1000)
+    for name, value in (("timeout_s", limit * 1.001), ("rps", 1.999 / limit),
+                        ("backoff_max_ms", int(limit) * 1000 + 1000)):
+        with pytest.raises(ValueError, match=f"{name} makes a wait longer than the platform's"):
+            BackendConfig(endpoint="http://e/v1", model="m", max_in_flight=2, **{name: value})
+
+
 # --- mock backend ------------------------------------------------------------
 
 def mock_call(spec, kind, state, seed):

@@ -261,6 +261,11 @@ INVALID_VALUES = [
     (BASE_CONFIG, "mock: {p_ic: [0.3\n"),
     (EXPERIMENT_SECTION, "experiment: [problems.json]\n"),
     ("  k_trials: 2", "  k_trials: 2\n  k_trails: 3"),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "timeout_s: 1.0e+10")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "rps: 1.0e-10")),
+    (MOCK_SECTION, HTTP_SECTION.replace("max_attempts: 0", "rps: 1.0e-9\n  max_in_flight: 10")),
+    (MOCK_SECTION, HTTP_SECTION.replace(
+        "max_attempts: 0", "backoff_base_ms: 10000000000000\n  backoff_max_ms: 10000000000000000")),
 ]
 INVALID_VALUE_IDS = ["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_trials_not_int",
         "parallelism_not_int", "parallelism_zero", "run_seed_not_int",
@@ -274,7 +279,8 @@ INVALID_VALUE_IDS = ["p_ic_out_of_range", "no_ground_truth", "unknown_kind", "k_
         "max_response_tokens_float", "timeout_s_bool", "rps_bool", "temperature_bool",
         "max_in_flight_bool", "misspelled_section", "unknown_mock_key", "k_trials_string",
         "timeout_s_inf", "rps_inf", "temperature_inf", "endpoint_ftp", "root_not_mapping",
-        "not_yaml", "experiment_not_mapping", "unknown_experiment_key"]
+        "not_yaml", "experiment_not_mapping", "unknown_experiment_key", "timeout_s_past_limit",
+        "rps_wait_past_limit", "rps_wait_past_limit_in_flight", "backoff_max_ms_past_limit"]
 # the cases only a config file can hold: a manifest has no sections of its own
 FILE_ONLY_CASES = {"misspelled_section", "root_not_mapping", "not_yaml",
                    "experiment_not_mapping", "unknown_experiment_key"}
@@ -735,6 +741,30 @@ def test_cli_analyze_corrupt_log(workspace, edit):
     assert result.exit_code == 4, result.output
     result = invoke("resume", run_id, "--runs-dir", workspace / "out" / "runs")
     assert result.exit_code == 4, result.output
+    assert log.read_bytes() == corrupt
+
+
+def test_cli_verdep_record_without_its_solution(workspace):
+    # a VERDEP line that passed keeps its solution and leaves it out; one that
+    # failed verification was refined, so without its solution the log is
+    # corrupt: analyze and resume exit 4 and leave it as it was
+    (workspace / "config.yaml").write_text(BASE_CONFIG.replace("kind: dser", "kind: verdep")
+                                           .replace("max_iterations: 3", "max_iterations: 8"))
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    lines = log.read_bytes().splitlines()
+    records = [json.loads(line)["payload"].get("record", {}) for line in lines]
+    assert any(r.get("verdict") == 1 and "solution_text" not in r for r in records)
+    i = next(i for i, r in enumerate(records) if r.get("verdict") == 0 and "failure" not in r)
+    lines[i] = CORRUPT_LINE_EDITS["failed_verify_missing_text"](lines[i])
+    corrupt = b"\n".join(lines) + b"\n"
+    log.write_bytes(corrupt)
+    for command in (["analyze", run_id, "--runs-dir", runs, "--out", workspace / "a"],
+                    ["resume", run_id, "--runs-dir", runs]):
+        result = invoke(*command)
+        assert result.exit_code == 4, result.output
+        assert "does not build" in result.output
     assert log.read_bytes() == corrupt
 
 

@@ -28,13 +28,15 @@ from selfevolve.engine import (
     Problem,
     PromptSet,
     TrialState,
+    _kept,
     rebuild_trial_states,
     resume_experiment,
     run_experiment,
     run_trial,
     trial_seed,
 )
-from selfevolve.store import RunStore, run_dir
+from selfevolve.reports import write_run_reports
+from selfevolve.store import Event, RunLog, RunStore, run_dir
 
 from fixtures import CASE_BLOCKS, PENTAGON_PROBLEM
 from oracles import assert_reads_like_stdlib
@@ -102,6 +104,18 @@ def fixture_trial():
     return run_trial(ONE_STEP, backend, PENTAGON_PROBLEM, PROMPTS, seed=1).records
 
 
+def logged_trial(tmp_path, config, backend, question="q"):
+    """run_trial with a log: its records and, per record, the (phase,
+    prompt_tokens, completion_tokens) of each call entry its commit holds."""
+    log = RunLog(tmp_path / "events.log", sync="flush")
+    records = run_trial(config, backend, question, PROMPTS, seed=1, log=log).records
+    log.close()
+    commits = [json.loads(line)["payload"] for line in
+               (tmp_path / "events.log").read_text().splitlines()[:-1]]
+    return records, [[(c["phase"], c.get("prompt_tokens"), c.get("completion_tokens"))
+                      for c in commit["calls"]] for commit in commits]
+
+
 def test_solve_with_certain_mock():
     backend = MockBackend(make_spec(initial_correct_probability=1.0))
     [record] = run_trial(SOLVE_ONLY, backend, "what is 59+1?", PROMPTS, seed=1).records
@@ -110,15 +124,16 @@ def test_solve_with_certain_mock():
     assert record.failure is None
 
 
-def test_solve_unparseable_after_reask():
-    # the last attempt's text is kept, with no answer
+def test_solve_unparseable_after_reask(tmp_path):
+    # the last attempt's text is kept, with no answer; each attempt's usage
+    # is in its call entry
     backend = ScriptedBackend(["no box here"] * 3)
     config = ControllerConfig(kind=DSER, max_iterations=0, max_parse_retries=2)
-    [record] = run_trial(config, backend, "q", PROMPTS, seed=1).records
+    [record], [calls] = logged_trial(tmp_path, config, backend)
     assert record.solution_text == "no box here"
     assert record.answer is None
     assert record.failure == "unparseable"
-    assert (record.prompt_tokens, record.completion_tokens) == (2, 1)
+    assert calls == [("solve", 2, 1)] * 3
     assert len(backend.requests) == 3
 
 
@@ -163,34 +178,37 @@ def test_refine_forced_improvement():
     assert record.answer == "60"
 
 
-def test_refine_carry_forward_on_backend_error():
-    # the script runs out at the refine call
+def test_refine_carry_forward_on_backend_error(tmp_path):
+    # the script runs out at the refine call, whose entry holds no usage
     backend = ScriptedBackend(["sol \\boxed{42}", "report \\boxed{0}"])
-    solved, record = run_trial(ONE_STEP, backend, "q", PROMPTS, seed=1).records
+    (solved, record), (_, calls) = logged_trial(tmp_path, ONE_STEP, backend)
     assert record.index == 1
     assert record.solution_text == solved.solution_text
     assert record.answer == "42"
     assert record.failure == "backend_error"
     assert (record.verification_text, record.verdict) == ("report \\boxed{0}", 0)
-    assert (record.prompt_tokens, record.completion_tokens) == (3, 1)
+    assert calls == [("verify", 3, 1), ("refine", None, None)]
 
 
-def test_refine_unparseable_carries_forward_without_its_tokens():
+def test_refine_unparseable_carries_forward_without_its_tokens(tmp_path):
+    # the record keeps the prior solution; the refine attempts' usage stays
+    # in their call entries
     backend = ScriptedBackend(["sol \\boxed{42}", "report \\boxed{0}"] + ["no box"] * 3)
     config = ControllerConfig(kind=DSER, max_iterations=1, max_parse_retries=2)
-    solved, record = run_trial(config, backend, "q", PROMPTS, seed=1).records
+    (solved, record), (_, calls) = logged_trial(tmp_path, config, backend)
     assert (record.solution_text, record.answer) == (solved.solution_text, "42")
     assert record.failure == "unparseable"
-    assert (record.prompt_tokens, record.completion_tokens) == (3, 1)
+    assert calls == [("verify", 3, 1)] + [("refine", 5, 1)] * 3
     assert len(backend.requests) == 5
 
 
-def test_refine_fixture_answer():
-    _, record = fixture_trial()
+def test_refine_fixture_answer(tmp_path):
+    (_, record), (_, calls) = logged_trial(tmp_path, ONE_STEP, ScriptedBackend(CASE_BLOCKS[0]),
+                                           PENTAGON_PROBLEM)
     assert record.answer == "60"
     assert record.solution_text.endswith("\\boxed{\\textcolor{green}{60}}")
-    # a refined record counts its verify and refine tokens
-    assert (record.prompt_tokens, record.completion_tokens) == (8, 2)
+    # a refined record's commit holds its verify's and its refine's usage
+    assert calls == [("verify", 3, 1), ("refine", 5, 1)]
 
 
 # --- DSER trial --------------------------------------------------------------
@@ -530,18 +548,20 @@ TWO_PROBLEMS = [Problem("p0", "what is 59+1?", AnswerKey("60")),
                 Problem("p1", "what is 7*8+4?", AnswerKey("60"))]
 
 
-@pytest.mark.parametrize("shared", [False, True], ids=["provider", "shared"])
+@pytest.mark.parametrize("source", ["provider", "shared", "faults"])
 @pytest.mark.parametrize("limits", [dict(kind=DSER, horizon=6),
                                     dict(kind=VERDEP, horizon=8, accept_limit=2,
                                          reject_limit=2)],
                          ids=[DSER, VERDEP])
-def test_resume_from_every_crash_point(tmp_path, limits, shared):
+def test_resume_from_every_crash_point(tmp_path, limits, source):
     # a crash can cut the log at any byte: at every line boundary and inside
     # every line, the resumed run commits what the uninterrupted one did. The
-    # shared backend answers both problems (both are 60) from 2 threads
+    # shared backend answers both problems (both are 60) from 2 threads; the
+    # faulty one fails calls, so that records kept after a failure are cut too
     spec = make_spec(**VERDEP_SPEC)
     provider = MockBackendProvider(spec)
-    backend = provider.for_problem(TWO_PROBLEMS[0]) if shared else provider
+    backend = {"provider": provider, "shared": provider.for_problem(TWO_PROBLEMS[0]),
+               "faults": SeedFaults(provider)}[source]
     store, run_id = run_mock_experiment(tmp_path / "base", k=3, parallelism=2, spec=spec,
                                         problems=TWO_PROBLEMS, store_sync="flush",
                                         backend=backend, **limits)
@@ -688,24 +708,74 @@ def v1_log(events):
     return [(line["kind"], (json.dumps(line) + "\n").encode()) for line in lines]
 
 
-def test_v1_log_resumes_to_v2_run(tmp_path):
+RECORD_FIELDS = ["index", "solution_text", "answer", "verification_text", "verdict", "failure"]
+
+
+def v2_events(events):
+    """A schema-3 run's events as schema 2 wrote them: every record field,
+    nulls too, a kept record's solution and answer written again, and the
+    record's token totals, the usage of its last verify attempt plus that of
+    the last solve or refine attempt when the record holds its solution."""
+    out, priors = [], {}
+    for ev in events:
+        if ev.kind == "IterationCommitted":
+            record = ev.payload["record"]
+            last = {c["phase"]: c for c in ev.payload["calls"]}
+            made = "refine" if record["index"] else "solve"
+            counted = [last.get("verify")] + ([last.get(made)] if "solution_text" in record else [])
+            tokens = {k: sum(c.get(k, 0) for c in counted if c)
+                      for k in ("prompt_tokens", "completion_tokens")}
+            record = {**dict.fromkeys(RECORD_FIELDS), **priors.get(ev.trial_id, {}), **record,
+                      **tokens}
+            priors[ev.trial_id] = {k: record[k] for k in ("solution_text", "answer")}
+            ev = Event(ev.seq, ev.trial_id, ev.kind, dict(ev.payload, record=record), ev.ts)
+        out.append(ev)
+    return out
+
+
+def log_line(ev) -> bytes:
+    return (json.dumps({"seq": ev.seq, "ts": ev.ts, "trial": ev.trial_id and list(ev.trial_id),
+                        "kind": ev.kind, "payload": ev.payload}, separators=(",", ":"))
+            + "\n").encode()
+
+
+def test_v1_and_v2_logs_resume_to_v3_run(tmp_path):
+    # a run's log as schema 1 or 2 wrote it loads to the schema 3 run, and
+    # schema 2 analyzes to the same report bytes; cut mid-record, each resumes
+    # to the uninterrupted run, appending schema 3 lines after the older ones
     spec = make_spec(**VERDEP_SPEC)
-    store, run_id = run_mock_experiment(tmp_path / "v2", k=4, horizon=30, kind=VERDEP,
-                                        parallelism=1, store_sync="flush", spec=spec)
+    backend = SeedFaults(MockBackendProvider(spec))
+    store, run_id = run_mock_experiment(tmp_path / "v3", k=4, horizon=30, kind=VERDEP,
+                                        parallelism=1, store_sync="flush", spec=spec,
+                                        backend=backend)
     manifest, states = store.load_run(run_id)
-    lines = v1_log(store.events(run_id))
-    assert {kind for kind, _ in lines} == {"SolveStarted", "CallSent", "CallReceived",
-                                          "IterationCommitted", "TrialExited"}
-    # cut in the middle of a commit line halfway through the log
-    i = next(i for i, (kind, _) in enumerate(lines)
-             if kind == "IterationCommitted" and i > len(lines) // 2)
-    cut = b"".join(line for _, line in lines[:i]) + lines[i][1][:40]
-    v1 = cut_copy(store, run_id, tmp_path / "v1", cut, dict(manifest, schema_version=1))
-    loaded = v1.load_run(run_id)[1]
-    assert 0 < sum(len(st.records) for st in loaded.values()) < sum(
-        len(st.records) for st in states.values())
-    resume_experiment(v1, run_id, MockBackendProvider(spec), store_sync="flush")
-    assert committed_view(v1.load_run(run_id)[1]) == committed_view(states)
+    events = v2_events(store.events(run_id))
+    v2_lines = [(ev.kind, log_line(ev)) for ev in events]
+    v1_lines = v1_log(events)
+    assert {kind for kind, _ in v1_lines} == {"SolveStarted", "CallSent", "CallReceived",
+                                             "IterationCommitted", "TrialExited"}
+    v2 = cut_copy(store, run_id, tmp_path / "v2_full", b"".join(line for _, line in v2_lines),
+                  dict(manifest, schema_version=2))
+    assert committed_view(v2.load_run(run_id)[1]) == committed_view(states)
+    reports = [{path.name: path.read_bytes()
+                for path in write_run_reports(source, run_id, tmp_path / f"reports{n}")}
+               for n, source in enumerate((store, v2))]
+    assert reports[0] == reports[1]
+    for version, lines in ((1, v1_lines), (2, v2_lines)):
+        # cut in the middle of a commit line halfway through the log
+        i = next(i for i, (kind, _) in enumerate(lines)
+                 if kind == "IterationCommitted" and i > len(lines) // 2)
+        cut = b"".join(line for _, line in lines[:i]) + lines[i][1][:40]
+        copy = cut_copy(store, run_id, tmp_path / f"v{version}", cut,
+                        dict(manifest, schema_version=version))
+        loaded = copy.load_run(run_id)[1]
+        assert 0 < sum(len(st.records) for st in loaded.values()) < sum(
+            len(st.records) for st in states.values())
+        resume_experiment(copy, run_id, backend, store_sync="flush")
+        assert committed_view(copy.load_run(run_id)[1]) == committed_view(states)
+        totals = ["prompt_tokens" in e.payload["record"] for e in copy.events(run_id)
+                  if e.kind == "IterationCommitted"]
+        assert totals[0] and not totals[-1] and totals == sorted(totals, reverse=True)
 
 
 class SeedFaults:
@@ -726,6 +796,53 @@ class SeedFaults:
         return self.inner.reasoning_call(request)
 
 
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_commit_lines_leave_out_what_rebuild_restores(tmp_path, kind):
+    # a line leaves out its solution exactly when the shared helper says the
+    # record kept it, and never holds a null or a token total; the rebuild
+    # restores the records run_trial returned
+    spec = make_spec(**VERDEP_SPEC)
+    store, run_id = run_mock_experiment(tmp_path, k=4, horizon=12, kind=kind, parallelism=1,
+                                        spec=spec, problems=TWO_PROBLEMS, store_sync="flush",
+                                        backend=SeedFaults(MockBackendProvider(spec)))
+    reasons = set()
+    for ev in store.events(run_id):
+        if ev.kind == "IterationCommitted":
+            record = ev.payload["record"]
+            kept = _kept(kind, record)
+            assert ("solution_text" in record, "answer" in record and kept) == (not kept, False)
+            assert None not in record.values()
+            assert not {"prompt_tokens", "completion_tokens"} & set(record)
+            if kept:
+                reasons.add("failure" if "failure" in record else "pass")
+    assert reasons == ({"failure", "pass"} if kind == VERDEP else {"failure"})
+    config = ControllerConfig(kind=kind, max_iterations=12)
+    for (pid, t), st in store.load_run(run_id)[1].items():
+        problem = next(p for p in TWO_PROBLEMS if p.problem_id == pid)
+        live = run_trial(config, SeedFaults(MockBackendProvider(spec)).for_problem(problem),
+                         problem.statement, PROMPTS, seed=trial_seed(7, pid, t))
+        assert [r.to_dict() for r in st.records] == [r.to_dict() for r in live.records]
+
+
+def test_verdep_log_bytes_per_iteration(tmp_path):
+    # the benchmark's verdep_http run at seed 7, in process: its 2 problems x
+    # K=16, mock numbers, budget 30, accept 5 and reject 10. 250 of its 431
+    # records are kept; schema 2 wrote 583 B per committed iteration, and
+    # leaving out kept solutions, token totals and nulls writes 456
+    spec = make_spec(initial_correct_probability=0.3, alpha=0.3, beta=0.8,
+                     wrong_answer_space=100)
+    problems = [Problem(f"p{i}", f"Problem {i} of set 7: find the integer that the puzzle "
+                        f"with code {code} encodes.", AnswerKey(answer))
+                for i, (code, answer) in enumerate([(339_563, "2472"), (414_002, "792")])]
+    store, run_id = run_mock_experiment(tmp_path, k=16, horizon=30, run_seed=7000, kind=VERDEP,
+                                        parallelism=1, spec=spec, problems=problems,
+                                        store_sync="flush", accept_limit=5, reject_limit=10)
+    iterations = sum(len(st.records) for st in store.load_run(run_id)[1].values())
+    v3 = run_dir(store.root, run_id).joinpath("events.log").stat().st_size / iterations
+    v2 = sum(len(log_line(ev)) for ev in v2_events(store.events(run_id))) / iterations
+    assert v3 < 500 < 560 < v2
+
+
 def log_digest(path):
     """sha256 of an event log with each event's wall-clock ts removed."""
     lines = []
@@ -736,10 +853,11 @@ def log_digest(path):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# computed with the engine as it was before run and resume shared one path
+# schema 3: the schema 2 logs, pinned since before run and resume shared one
+# path, with the records' token totals, null fields and kept solutions left out
 GOLDEN_LOGS = {
-    DSER: "067cb561366e5ee1f44c834f196089e1479a32f973c04f4f3b87977d1cf139f6",
-    VERDEP: "d8d95f1e7892e18f6672b4adda47df1fd4f52837382b19484ab3bd1b28bb4b2a",
+    DSER: "bd88a09bad6fd8d2d626b077d8284198ddccf8645152e305f2ec6208632d7694",
+    VERDEP: "f30ab0dce974d32f1284f6becb3819864c3b05a5bd32b2aa5be7a9ac6d140420",
 }
 
 

@@ -286,7 +286,7 @@ def test_manifest_round_trip(tmp_path):
     store = make_store(tmp_path)
     manifest = store.manifest("r1")
     assert manifest["run_seed"] == 1
-    assert manifest["schema_version"] == SCHEMA_VERSION == 2
+    assert manifest["schema_version"] == SCHEMA_VERSION == 3
     assert manifest["problems"][0]["answer"] == "60"
 
 
