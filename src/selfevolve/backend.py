@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 from .answers import AnswerKey, extract_answer, normalize_answer
@@ -47,8 +48,7 @@ class ResponseTruncated(BackendError):
         self.partial_text = partial_text
 
 
-@dataclass(frozen=True)
-class ReasoningRequest:
+class ReasoningRequest(NamedTuple):
     """Context segments for one call, e.g. [q; s; p_v; v; p_r] for a refine,
     and the seed that makes its sampling reproducible."""
 
@@ -59,8 +59,7 @@ class ReasoningRequest:
         return CONTEXT_SEPARATOR.join(self.context)
 
 
-@dataclass
-class ReasoningResponse:
+class ReasoningResponse(NamedTuple):
     full_text: str
     summary_text: str
     thinking: str
@@ -324,36 +323,38 @@ class MockBackend:
         self.spec = spec
         self._lock = threading.Lock()
         self.call_count = 0
+        self._rng = random.Random()  # reseeded for each call, under the lock
 
     def reasoning_call(self, request: ReasoningRequest) -> ReasoningResponse:
         """A solve is correct with probability c0. A verify passes with
         probability beta on a correct solution and alpha on an incorrect one.
         A refine flips correctness with probability p_ci from correct and p_ic
-        from incorrect. All draws come from one generator seeded by the
+        from incorrect. All draws come from one generator reseeded with the
         request seed; an incorrect solution's answer is the next draw."""
-        spec, context, seed = self.spec, request.context, request.request_seed
+        spec, (context, seed), rng = self.spec, request, self._rng
         n = len(context)
         if n not in (2, 3, 5):
             raise ValueError(f"cannot classify request with {n} context segments")
+        correct = n != 2 and extract_answer(context[1]) == spec.ground_truth
         with self._lock:
             self.call_count += 1
-        rng = random.Random(seed)
-        if n == 2:
-            correct = rng.random() < spec.initial_correct_probability
-        else:
-            correct = extract_answer(context[1]) == spec.ground_truth
-            flip = spec.transition.p_ci if correct else spec.transition.p_ic
-            if n == 5 and rng.random() < flip:
+            super(random.Random, rng).seed(seed)  # Random(seed)'s state, without its wrapper
+            if n == 2:
+                correct = rng.random() < spec.initial_correct_probability
+            elif n == 5 and rng.random() < (spec.transition.p_ci if correct
+                                            else spec.transition.p_ic):
                 correct = not correct
+            if n == 3:
+                passed = rng.random() < (spec.beta if correct else spec.alpha)
+            elif not correct:
+                wrong = str(WRONG_ANSWER_BASE + rng.randrange(spec.wrong_answer_space))
         if n == 3:
-            passed = rng.random() < (spec.beta if correct else spec.alpha)
             thinking = f"checking each step (trace {seed})"
             summary = ("Verification report: the solution was checked step by step.\n"
                        f"\\boxed{{{int(passed)}}}")
         else:
             answer = spec.ground_truth.canonical
             if not correct:
-                wrong = str(WRONG_ANSWER_BASE + rng.randrange(spec.wrong_answer_space))
                 answer = (wrong if wrong != answer
                           else str(WRONG_ANSWER_BASE + spec.wrong_answer_space))
             thinking = f"working on it (trace {seed})"
@@ -361,11 +362,9 @@ class MockBackend:
                        f"Final answer: \\boxed{{{answer}}}")
         # the delimiters join the thinking's end words; the thinking holds the
         # seed, so only the summary's count is memoized
-        return ReasoningResponse(
-            full_text=f"{THINK_OPEN}{thinking}{THINK_CLOSE}\n{summary}",
-            summary_text=summary, thinking=thinking,
-            prompt_tokens=sum(map(_word_count, context)),
-            completion_tokens=len(thinking.split()) + _word_count(summary))
+        return ReasoningResponse(f"{THINK_OPEN}{thinking}{THINK_CLOSE}\n{summary}", summary,
+                                 thinking, sum(map(_word_count, context)),
+                                 len(thinking.split()) + _word_count(summary))
 
 
 class MockBackendProvider:

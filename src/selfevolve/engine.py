@@ -60,6 +60,8 @@ TERMINAL_STATUSES = {COMPLETED, ACCEPTED_EXIT, REJECTED_EXIT}
 FAILURE_TRUNCATED = "truncated"
 FAILURE_UNPARSEABLE = "unparseable"
 FAILURE_BACKEND = "backend_error"
+_FAILURES = (None, FAILURE_TRUNCATED, FAILURE_UNPARSEABLE, FAILURE_BACKEND)
+_TEXT = (str, type(None))  # what a record's text fields hold
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ def _call(backend, context, base_seed, calls, phase, config, parse):
         call = {"phase": phase, "attempt": attempt}
         calls.append(call)
         try:
-            response = backend.reasoning_call(ReasoningRequest(context=context, request_seed=seed))
+            response = backend.reasoning_call(ReasoningRequest(context, seed))
         except ResponseTruncated as e:
             call.update(failure=FAILURE_TRUNCATED, partial_text=e.partial_text)
             return None, None, FAILURE_TRUNCATED
@@ -202,6 +204,7 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
         n = len(state.records)
         calls: list[dict] = []
         verified = verdict = None
+        kept = False
         if n == 0:
             response, answer, failure = _call(
                 backend, (prompts.solve_prompt, question), derive_seed(seed, 0, "solve"),
@@ -219,15 +222,14 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
                 response, answer, failure = _call(
                     backend, context + (verified.summary_text, prompts.refine_prompt),
                     derive_seed(seed, n, "refine"), calls, "refine", config, extract_answer)
-            if _kept(config.kind, {"index": n, "failure": failure, "verdict": verdict}):
-                text, answer = prior.solution_text, prior.answer
-            else:
-                text, answer = response.summary_text, answer.canonical
+            kept = _kept(config.kind, {"index": n, "failure": failure, "verdict": verdict})
+            text, answer = ((prior.solution_text, prior.answer) if kept
+                            else (response.summary_text, answer.canonical))
         record = IterationRecord(n, text, answer, verified.summary_text if verified else None,
                                  verdict, failure)
         state.records.append(record)
         if log is not None:
-            omit = ("solution_text", "answer") if _kept(config.kind, vars(record)) else ()
+            omit = ("solution_text", "answer") if kept else ()
             line = {k: v for k, v in vars(record).items() if v is not None and k not in omit}
             log.append("IterationCommitted", {"record": line, "calls": calls},
                        trial_id=state.trial_id)
@@ -363,9 +365,9 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                          events: list[Event]) -> dict[tuple[str, int], TrialState]:
     """Reconstruct all trial states purely from committed events, for a run
     manifest or the inputs already built from one; an event of an unknown
-    trial, one whose payload cannot build, or a record that is not its
-    trial's next is a corrupt log. A kept record's solution comes from the
-    previous one; older records' token totals are dropped."""
+    trial, one whose payload cannot build or holds a mistyped field, or a
+    record that is not its trial's next is a corrupt log. A kept record's
+    solution comes from the previous one; older records' token totals are dropped."""
     inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
     for pid in inputs.problems:
@@ -389,7 +391,13 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                     prior = st.records[-1]
                     fields = {"solution_text": prior.solution_text, "answer": prior.answer,
                               **fields}
-                st.records.append(IterationRecord(**fields))
+                r = IterationRecord(**fields)
+                if (type(r.index) is not int or r.verdict not in (None, 0, 1)
+                        or type(r.verdict) not in (int, type(None)) or r.failure not in _FAILURES
+                        or type(r.solution_text) not in _TEXT or type(r.answer) not in _TEXT
+                        or type(r.verification_text) not in _TEXT):
+                    raise TypeError(f"a field of record {r.index!r} has the wrong type")
+                st.records.append(r)
             elif ev.kind == "TrialExited":
                 st.status = ev.payload["status"]
         except (KeyError, TypeError) as e:

@@ -1,8 +1,9 @@
 """Transcript fixtures for the answer pipeline: two solve/verify/refine case
 blocks in the style of real model output, including colored boxed answers.
 Also edits that turn one IterationCommitted line of an event log into a line
-that does not decode, parse or build its record, whose record is not its
-trial's next, or that leaves out the solution of a record that made one."""
+that does not decode, parse or build its record, whose record holds a field of
+the wrong type or is not its trial's next, or that leaves out the solution of
+a record that made one."""
 
 import json
 
@@ -100,4 +101,8 @@ CORRUPT_LINE_EDITS = {
     "record_index_repeated": _edit_event(lambda e: e["payload"]["record"].update(
         index=e["payload"]["record"]["index"] - 1)),
     "failed_verify_missing_text": _edit_event(_failed_verify_without_text),
+    # True == 1, "1" is not a verdict, and an int is not a solution's text
+    "index_bool": _edit_event(lambda e: e["payload"]["record"].update(index=True)),
+    "verdict_string": _edit_event(lambda e: e["payload"]["record"].update(verdict="1")),
+    "solution_int": _edit_event(lambda e: e["payload"]["record"].update(solution_text=7)),
 }

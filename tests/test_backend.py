@@ -241,6 +241,44 @@ def test_mock_backend_refuses_unclassifiable_request():
     assert backend.call_count == 0
 
 
+def test_mock_shared_generator_under_thread_switches():
+    # one backend serves many threads (the HTTP stub's) through its one
+    # generator: with more threads than cores and a switch every microsecond,
+    # each response is still the one a fresh backend gives for its seed
+    spec = make_spec()
+    contexts = [("solve prompt", "question"),
+                ("question", "Final answer: \\boxed{60}", "verify prompt"),
+                ("question", "Final answer: \\boxed{100042}", "verify prompt"),
+                ("question", "Final answer: \\boxed{60}", "verify prompt", "report", "refine"),
+                ("question", "Final answer: \\boxed{7}", "verify prompt", "report", "refine")]
+    threads, per_thread = 8, 1000
+    requests = [ReasoningRequest(contexts[seed % len(contexts)], request_seed=seed)
+                for seed in range(threads * per_thread)]
+    shared = MockBackend(spec)
+    results: dict[int, object] = {}
+
+    def work(part):
+        for request in part:
+            results[request.request_seed] = shared.reasoning_call(request)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(requests[i::threads],), daemon=True)
+                   for i in range(threads)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared.call_count == len(requests)
+    assert len(results) == len(requests)
+    for request in requests:
+        assert results[request.request_seed] == MockBackend(spec).reasoning_call(request)
+
+
 # --- HTTP backend ------------------------------------------------------------
 
 def _http_config(endpoint, **overrides):

@@ -1,5 +1,6 @@
 """The benchmark runs this source tree through a frozen API: its two
-self-checks must pass, and every attribute its tracer patches must exist."""
+self-checks must pass, and every attribute its tracer patches must exist and
+be looked up when a run calls it."""
 
 import importlib.util
 import subprocess
@@ -7,6 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from selfevolve import backend, engine, store
+from selfevolve.backend import MockBackendProvider, mock_spec_from_dict
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -24,3 +28,30 @@ def test_bench_trace_targets_resolve():
     spec.loader.exec_module(tracing)
     for owner, attribute, span, _ in tracing.PATCHES:
         assert callable(getattr(owner, attribute, None)), f"{span}: {owner.__name__}.{attribute}"
+
+
+def test_trace_patch_points_are_reached(tmp_path, monkeypatch):
+    # the tracer patches module attributes, so a hot path that bound one of
+    # them locally would leave its span empty and its per-layer metrics unread
+    counts = {}
+
+    def count(owner, attribute):
+        original = getattr(owner, attribute)
+
+        def counted(*args, **kwargs):
+            counts[attribute, owner.__name__] += 1
+            return original(*args, **kwargs)
+
+        counts[attribute, owner.__name__] = 0
+        monkeypatch.setattr(owner, attribute, counted)
+
+    for owner, attribute in ((engine, "derive_seed"), (engine, "extract_answer"),
+                             (backend, "extract_answer"), (engine, "run_trial"),
+                             (store.RunLog, "append")):
+        count(owner, attribute)
+    spec = mock_spec_from_dict({"ground_truth": "60", "initial_correct_probability": 0.5,
+                                "p_ic": 0.3, "p_ci": 0.1})
+    engine.run_experiment([engine.Problem("p0", "what is 59+1?", spec.ground_truth)], 1,
+                          engine.ControllerConfig(max_iterations=3), MockBackendProvider(spec),
+                          engine.PromptSet(), 5, store.RunStore(tmp_path), store_sync="flush")
+    assert all(counts.values()), counts

@@ -1,7 +1,7 @@
 """The program's import paths load neither numpy nor requests, nor what only
 some commands use: the HTTP client, the YAML parser, the thread pool, the XML
 and email packages that `xml.sax.saxutils` would pull in, and orjson, which
-only reading a log needs."""
+the store loads only when a log is read or written."""
 
 import json
 import subprocess

@@ -52,17 +52,28 @@ def test_append_sequence_increases(tmp_path):
 
 def test_append_line_is_compact_json(tmp_path):
     # a line is what json.dumps writes with compact separators: ASCII escapes
-    # for non-ASCII text and U+2028, keys in insertion order, floats by repr
+    # for non-ASCII text, U+2028 and DEL (which orjson writes raw), keys in
+    # insertion order, floats by repr; so too for a lone surrogate and an int
+    # past 64 bits, which orjson refuses
     store = make_store(tmp_path)
     log = store.open_log("r1")
-    payload = {"record": {"solution_text": 'say "60" \\boxed{60}', "score": 0.1 + 0.2},
-               "calls": [{"thinking": "Σ café — line\u2028sep 🙂", "phase": "solve"}]}
-    log.append("IterationCommitted", payload, trial_id=("p0", 1))
+    payloads = [
+        {"record": {"solution_text": 'say "60" \\boxed{60}', "score": 0.1 + 0.2},
+         "calls": [{"thinking": "Σ café — line\u2028sep 🙂", "phase": "solve"}]},
+        {"calls": [{"thinking": "rub\x7fout", "phase": "verify"}]},
+        {"calls": [{"thinking": "half \ud83d a pair", "phase": "refine"}]},
+        {"calls": [{"prompt_tokens": 2**64, "phase": "solve"}]},
+    ]
+    for payload in payloads:
+        log.append("IterationCommitted", payload, trial_id=("p0", 1))
     log.close()
-    line = (run_dir(store.root, "r1") / "events.log").read_bytes().decode("ascii")
-    record = {"seq": 1, "ts": json.loads(line)["ts"], "trial": ["p0", 1],
-              "kind": "IterationCommitted", "payload": payload}
-    assert line == json.dumps(record, separators=(",", ":")) + "\n"
+    lines = (run_dir(store.root, "r1") / "events.log").read_bytes().decode("ascii")
+    lines = lines.splitlines(keepends=True)
+    assert len(lines) == len(payloads)
+    for seq, (line, payload) in enumerate(zip(lines, payloads), 1):
+        record = {"seq": seq, "ts": json.loads(line)["ts"], "trial": ["p0", 1],
+                  "kind": "IterationCommitted", "payload": payload}
+        assert line == json.dumps(record, separators=(",", ":")) + "\n"
 
 
 def test_append_durable_without_close(tmp_path):
