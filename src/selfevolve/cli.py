@@ -2,22 +2,18 @@
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from contextlib import contextmanager
 
 import click
 
-from . import markov
-from .config import read_config
-from .engine import ConfigInvalid, resume_experiment, run_inputs, start_run
-from .reports import write_metrics_csv, write_run_reports
-from .store import ConfigDrift, CorruptLog, RunStore, StoreUnavailable
-
-# what a command exits with on each error, and its message's prefix
-_EXITS = {ConfigInvalid: (2, "invalid config: "), ConfigDrift: (3, ""),
-          CorruptLog: (4, ""), StoreUnavailable: (5, "store unavailable: "),
-          markov.DegenerateChain: (1, ""), markov.SingularChain: (1, "")}
+# what a command exits with on each error, and its message's prefix. An error
+# is named by its module and class, so that a command loads only the modules
+# it runs: an error can only come from a module already loaded.
+_EXITS = {("engine", "ConfigInvalid"): (2, "invalid config: "),
+          ("store", "ConfigDrift"): (3, ""), ("store", "CorruptLog"): (4, ""),
+          ("store", "StoreUnavailable"): (5, "store unavailable: "),
+          ("markov", "DegenerateChain"): (1, ""), ("markov", "SingularChain"): (1, "")}
 
 
 @contextmanager
@@ -25,10 +21,13 @@ def _exit_on_error():
     """Exits with the code _EXITS gives an error the body raises."""
     try:
         yield
-    except tuple(_EXITS) as e:
-        code, prefix = next(v for kind, v in _EXITS.items() if isinstance(e, kind))
-        click.echo(f"error: {prefix}{e}", err=True)
-        sys.exit(code)
+    except Exception as e:
+        for (module, name), (code, prefix) in _EXITS.items():
+            kind = getattr(sys.modules.get(f"selfevolve.{module}"), name, None)
+            if kind is not None and isinstance(e, kind):
+                click.echo(f"error: {prefix}{e}", err=True)
+                sys.exit(code)
+        raise
 
 
 @click.group()
@@ -40,6 +39,10 @@ def main():
 @click.argument("config_path", type=click.Path(exists=True))
 def cmd_run(config_path):
     """Launch an experiment described by a config file; prints the run id."""
+    from .config import read_config
+    from .engine import start_run
+    from .reports import write_run_reports
+    from .store import RunStore
     with _exit_on_error():
         description, output_dir = read_config(config_path)
         store = RunStore(output_dir / "runs")
@@ -57,9 +60,13 @@ def cmd_run(config_path):
 @click.option("--reports-dir", type=click.Path(), default=None)
 def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
+    import dataclasses
+    from .engine import resume_experiment, run_inputs
+    from .store import ConfigDrift, RunStore
     with _exit_on_error():
         store = RunStore(runs_dir)
         if config_path is not None:
+            from .config import read_config
             # the run's parallelism and store_sync stand, whatever the file says
             run = run_inputs(store.manifest(run_id))
             live = run_inputs(read_config(config_path)[0])
@@ -68,6 +75,7 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
                 raise ConfigDrift("live config differs from the manifest snapshot")
         resume_experiment(store, run_id)
     if reports_dir is not None:
+        from .reports import write_run_reports
         write_run_reports(store, run_id, reports_dir)
     click.echo(run_id)
 
@@ -79,6 +87,8 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
 def cmd_analyze(run_id, runs_dir, out_dir):
     """Recompute metric tables and charts from a run's event log, up to the
     iteration each problem's trials have all reached."""
+    from .reports import write_run_reports
+    from .store import RunStore
     with _exit_on_error():
         written = write_run_reports(RunStore(runs_dir), run_id, out_dir)
     for path in written:
@@ -99,6 +109,7 @@ def _prob_option(name, **kw):
 @_prob_option("--p-ci")
 def sim_stationary(p_ic, p_ci):
     """Stationary split and mixing rate of the two-state chain."""
+    from . import markov
     params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
     with _exit_on_error():
         pi = markov.stationary_distribution(params)
@@ -114,6 +125,7 @@ def sim_stationary(p_ic, p_ci):
 @click.option("--seed", type=int, default=0, show_default=True)
 def sim_trajectory(p_ic, p_ci, start, steps, seed):
     """One seeded sample path of the two-state chain."""
+    from . import markov
     params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
     click.echo("".join(markov.simulate_chain(params, start, steps, seed)))
 
@@ -127,6 +139,7 @@ def sim_trajectory(p_ic, p_ci, start, steps, seed):
 @click.option("--start", type=click.Choice(["S1", "S2"]), default="S2", show_default=True)
 def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
     """Closed-form absorption probabilities of the simplified 4-state chain."""
+    from . import markov
     acp = markov.AbsorbingChainParams(alpha=alpha, beta=beta, y_c0=y_c0,
                                       y_i0=y_i0, accept_limit=accept_limit)
     with _exit_on_error():
@@ -151,6 +164,7 @@ def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
 def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
                samples, max_iterations, seed, csv_path):
     """Monte Carlo of the full verification-dependent chain with exit statistics."""
+    from . import markov
     acp = markov.AbsorbingChainParams(
         alpha=alpha, beta=beta, y_c0=y_c0, y_i0=y_i0,
         accept_limit=accept_limit, reject_limit=reject_limit)
@@ -159,6 +173,7 @@ def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
     fractions = {k: v / samples for k, v in counts.items()}
     click.echo(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
     if csv_path:
+        from .reports import write_metrics_csv
         write_metrics_csv(csv_path, [{"exit": k, "fraction": v} for k, v in fractions.items()],
                           ["exit", "fraction"])
 

@@ -15,11 +15,10 @@ uninterrupted run exactly.
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
-import uuid
 from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
-from math import inf
 
 from .answers import AnswerKey, extract_answer, normalize_answer
 from .backend import (BackendConfig, BackendError, HttpBackend, MockBackendProvider, MockSpec,
@@ -169,10 +168,17 @@ def _verdict(summary_text: str) -> int | None:
     return None
 
 
-def _streaks(passes: int, fails: int, verdict: int | None) -> tuple[int, int]:
-    """The (pass, fail) streak counters after one more verdict; an absent
-    verdict counts as a fail."""
-    return (passes + 1, 0) if verdict == 1 else (0, fails + 1)
+def _status(config: ControllerConfig, records: list[IterationRecord]) -> str:
+    """The status a trial's records give it: a VERDEP exit once its last
+    accept_limit verdicts passed or its last reject_limit did not (an absent
+    verdict fails), else completed after max_iterations steps, else running."""
+    n = len(records)
+    if config.kind == VERDEP and n > 1:
+        passed = records[-1].verdict == 1
+        limit = config.accept_limit if passed else config.reject_limit
+        if n > limit and all((r.verdict == 1) == passed for r in records[n - limit:]):
+            return ACCEPTED_EXIT if passed else REJECTED_EXIT
+    return COMPLETED if n > config.max_iterations else RUNNING
 
 
 def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptSet,
@@ -194,13 +200,8 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
     if state is None:
         state = TrialState(problem_id, trial_index, config.kind, seed)
     verdep = config.kind == VERDEP
-    accept, reject = (config.accept_limit, config.reject_limit) if verdep else (inf, inf)
-    # The streaks rebuilt from the records are tested before the first call,
-    # so a trial resumed after its exit record exits without another call.
-    passes = fails = 0
-    for r in state.records[1:]:
-        passes, fails = _streaks(passes, fails, r.verdict)
-    while passes < accept and fails < reject and len(state.records) <= config.max_iterations:
+    # a trial resumed after its exit record exits without another call
+    while (status := _status(config, state.records)) == RUNNING:
         n = len(state.records)
         calls: list[dict] = []
         verified = verdict = None
@@ -217,7 +218,6 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
             verified, verdict, failure = _call(
                 backend, context, derive_seed(seed, n, "verify"), calls, "verify", config,
                 _verdict)
-            passes, fails = _streaks(passes, fails, verdict)
             if verified is not None and not (verdep and verdict == 1):
                 response, answer, failure = _call(
                     backend, context + (verified.summary_text, prompts.refine_prompt),
@@ -233,8 +233,7 @@ def run_trial(config: ControllerConfig, backend, question: str, prompts: PromptS
             line = {k: v for k, v in vars(record).items() if v is not None and k not in omit}
             log.append("IterationCommitted", {"record": line, "calls": calls},
                        trial_id=state.trial_id)
-    state.status = (ACCEPTED_EXIT if passes >= accept else
-                    REJECTED_EXIT if fails >= reject else COMPLETED)
+    state.status = status
     if log is not None:
         log.append("TrialExited", {"status": state.status}, trial_id=state.trial_id)
     return state
@@ -365,8 +364,9 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                          events: list[Event]) -> dict[tuple[str, int], TrialState]:
     """Reconstruct all trial states purely from committed events, for a run
     manifest or the inputs already built from one; an event of an unknown
-    trial, one whose payload cannot build or holds a mistyped field, or a
-    record that is not its trial's next is a corrupt log. A kept record's
+    trial, one whose payload cannot build or holds a mistyped field, a record
+    that is not its trial's next, or an exit whose status the trial's records
+    do not give it is a corrupt log. A kept record's
     solution comes from the previous one; older records' token totals are dropped."""
     inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
@@ -399,7 +399,9 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                     raise TypeError(f"a field of record {r.index!r} has the wrong type")
                 st.records.append(r)
             elif ev.kind == "TrialExited":
-                st.status = ev.payload["status"]
+                st.status = _status(inputs.controller, st.records)
+                if st.status == RUNNING or ev.payload["status"] != st.status:
+                    raise TypeError(f"status {ev.payload['status']!r} is not {st.status!r}")
         except (KeyError, TypeError) as e:
             raise CorruptLog(f"event seq {ev.seq} does not build: {e!r}", i) from e
     return states
@@ -421,7 +423,7 @@ def start_run(store: RunStore, description: dict, backend=None,
     """
     inputs = run_inputs(description)
     if run_id is None:
-        run_id = uuid.uuid4().hex[:12]
+        run_id = os.urandom(6).hex()
     # parallelism and store_sync sit outside the config and the trial inputs,
     # so the store's stamps do not cover them
     manifest = dict(

@@ -98,7 +98,8 @@ class RunLog:
         self.finalized = False
         self.events: list[Event] = []
         if path.exists():
-            events, valid = _read_events(path)
+            with open(path, "rb") as fh:
+                events, valid = _read_events(fh)
             self.events = events
             if events:
                 self._next_seq = events[-1].seq + 1
@@ -165,42 +166,42 @@ def _line(record: dict) -> bytes:
     return (_encode(record) + "\n").encode("ascii")
 
 
-def _read_events(path: Path) -> tuple[list[Event], int]:
-    """Parse the log a line at a time; returns (events, byte length of the
-    valid prefix). orjson decodes each line; the stdlib decoder, the writer's
-    grammar, decides a line orjson refuses (NaN, Infinity, a lone surrogate, 1e400)."""
+def _read_events(fh) -> tuple[list[Event], int]:
+    """Parse the log that fh, a binary file, holds a line at a time; returns
+    (events, byte length of the valid prefix). orjson decodes each line; the
+    stdlib decoder, the writer's grammar, decides a line orjson refuses (NaN,
+    Infinity, a lone surrogate, 1e400)."""
     import orjson  # loaded only when a log is read or written, not on import
     events: list[Event] = []
     valid = 0
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break  # the last write was cut
+    for n, line in enumerate(fh, 1):
+        if not line.endswith(b"\n"):
+            break  # the last write was cut
+        try:
             try:
-                try:
-                    d = orjson.loads(line)
-                except ValueError:
-                    d = _decode(line.decode("utf-8"))
-                if type(d["seq"]) is not int:  # a bool or a float too
-                    raise TypeError(f"seq {d['seq']!r} is not an integer")
-                ev = Event(
-                    seq=d["seq"],
-                    trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
-                    kind=d["kind"],
-                    payload=d["payload"],
-                    ts=d["ts"],
-                )
-            except (ValueError, KeyError, TypeError) as e:
-                if not fh.read(1):
-                    break  # an unparseable last line is an interrupted write
-                raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-            expected = events[-1].seq + 1 if events else 1
-            if ev.seq != expected:
-                raise CorruptLog(
-                    f"sequence gap: expected {expected}, found {ev.seq}", len(events)
-                )
-            events.append(ev)
-            valid += len(line)
+                d = orjson.loads(line)
+            except ValueError:
+                d = _decode(line.decode("utf-8"))
+            if type(d["seq"]) is not int:  # a bool or a float too
+                raise TypeError(f"seq {d['seq']!r} is not an integer")
+            ev = Event(
+                seq=d["seq"],
+                trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
+                kind=d["kind"],
+                payload=d["payload"],
+                ts=d["ts"],
+            )
+        except (ValueError, KeyError, TypeError) as e:
+            if not fh.read(1):
+                break  # an unparseable last line is an interrupted write
+            raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
+        expected = events[-1].seq + 1 if events else 1
+        if ev.seq != expected:
+            raise CorruptLog(
+                f"sequence gap: expected {expected}, found {ev.seq}", len(events)
+            )
+        events.append(ev)
+        valid += len(line)
     return events, valid
 
 
@@ -246,8 +247,8 @@ class RunStore:
         path = run_dir(self.root, run_id) / "events.log"
         if not path.exists():
             return []
-        events, _ = _read_events(path)
-        return events
+        with open(path, "rb") as fh:
+            return _read_events(fh)[0]
 
     def load_run(self, run_id: str):
         """Rebuild (manifest, trial states) purely from committed events."""

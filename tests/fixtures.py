@@ -2,8 +2,9 @@
 blocks in the style of real model output, including colored boxed answers.
 Also edits that turn one IterationCommitted line of an event log into a line
 that does not decode, parse or build its record, whose record holds a field of
-the wrong type or is not its trial's next, or that leaves out the solution of
-a record that made one."""
+the wrong type or is not its trial's next, that leaves out the solution of a
+record that made one, or that exits its trial with a status its records do not
+give it; the status edits set a TrialExited line's status too."""
 
 import json
 
@@ -84,6 +85,12 @@ def _failed_verify_without_text(event):
     record.pop("solution_text", None)
 
 
+def _exit_as(status):
+    # a trial whose records give it no exit yet, or give a DSER trial
+    # "completed", exits as none of these
+    return _edit_event(lambda e: e.update(kind="TrialExited", payload={"status": status}))
+
+
 # name -> edit of one log line, given and returned without its newline
 CORRUPT_LINE_EDITS = {
     "garbage": lambda line: b"garbage",
@@ -105,4 +112,7 @@ CORRUPT_LINE_EDITS = {
     "index_bool": _edit_event(lambda e: e["payload"]["record"].update(index=True)),
     "verdict_string": _edit_event(lambda e: e["payload"]["record"].update(verdict="1")),
     "solution_int": _edit_event(lambda e: e["payload"]["record"].update(solution_text=7)),
+    "status_list": _exit_as(["completed"]),
+    "status_unknown": _exit_as("finished"),
+    "status_disagrees": _exit_as("accepted_exit"),
 }

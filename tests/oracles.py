@@ -160,46 +160,46 @@ def verdep_exit_frequencies(
 _decode = json.JSONDecoder().decode
 
 
-def read_events(path: Path) -> tuple[list[Event], int]:
+def read_events(fh) -> tuple[list[Event], int]:
     """store._read_events on the stdlib decoder alone: (events, byte length
     of the valid prefix)."""
     events: list[Event] = []
     valid = 0
-    with open(path, "rb") as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.endswith(b"\n"):
-                break  # the last write was cut
-            try:
-                d = _decode(line.decode("utf-8"))
-                if type(d["seq"]) is not int:  # a bool or a float too
-                    raise TypeError(f"seq {d['seq']!r} is not an integer")
-                ev = Event(
-                    seq=d["seq"],
-                    trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
-                    kind=d["kind"],
-                    payload=d["payload"],
-                    ts=d["ts"],
-                )
-            except (ValueError, KeyError, TypeError) as e:
-                if not fh.read(1):
-                    break  # an unparseable last line is an interrupted write
-                raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-            expected = events[-1].seq + 1 if events else 1
-            if ev.seq != expected:
-                raise CorruptLog(
-                    f"sequence gap: expected {expected}, found {ev.seq}", len(events)
-                )
-            events.append(ev)
-            valid += len(line)
+    for n, line in enumerate(fh, 1):
+        if not line.endswith(b"\n"):
+            break  # the last write was cut
+        try:
+            d = _decode(line.decode("utf-8"))
+            if type(d["seq"]) is not int:  # a bool or a float too
+                raise TypeError(f"seq {d['seq']!r} is not an integer")
+            ev = Event(
+                seq=d["seq"],
+                trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
+                kind=d["kind"],
+                payload=d["payload"],
+                ts=d["ts"],
+            )
+        except (ValueError, KeyError, TypeError) as e:
+            if not fh.read(1):
+                break  # an unparseable last line is an interrupted write
+            raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
+        expected = events[-1].seq + 1 if events else 1
+        if ev.seq != expected:
+            raise CorruptLog(
+                f"sequence gap: expected {expected}, found {ev.seq}", len(events)
+            )
+        events.append(ev)
+        valid += len(line)
     return events, valid
 
 
 def read_outcome(reader, path: Path) -> str:
-    """repr of what reader returns for path, or of the exception it raises
-    with its message and valid prefix. A repr tells NaN, -0.0, 1 and 1.0 and
-    key order apart, where == on the events would not."""
+    """repr of what reader returns for the file at path, or of the exception
+    it raises with its message and valid prefix. A repr tells NaN, -0.0, 1 and
+    1.0 and key order apart, where == on the events would not."""
     try:
-        return repr(reader(path))
+        with open(path, "rb") as fh:
+            return repr(reader(fh))
     except Exception as e:
         return repr((type(e), str(e), getattr(e, "valid_prefix_events", None)))
 

@@ -784,6 +784,32 @@ def test_cli_resume_corrupt_log(workspace, edit):
     assert log.read_bytes() == cut
 
 
+STATUS_EDITS = {name: edit for name, edit in CORRUPT_LINE_EDITS.items()
+                if name.startswith("status_")}
+
+
+@pytest.mark.parametrize("edit", STATUS_EDITS.values(), ids=STATUS_EDITS.keys())
+def test_cli_exit_status_follows_from_records(workspace, edit):
+    # a trial's status is a function of its records: an exit line that says
+    # otherwise is a corrupt log, which analyze and resume refuse (exit 4) and
+    # leave as it was, in the finished run and cut right after that line
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    lines = log.read_bytes().splitlines()
+    i = next(i for i, line in enumerate(lines) if b'"kind":"TrialExited"' in line)
+    lines[i] = edit(lines[i])
+    for kept in (lines, lines[:i + 1]):
+        corrupt = b"\n".join(kept) + b"\n"
+        log.write_bytes(corrupt)
+        for command in (["analyze", run_id, "--runs-dir", runs, "--out", workspace / "a"],
+                        ["resume", run_id, "--runs-dir", runs]):
+            result = invoke(*command)
+            assert result.exit_code == 4, result.output
+            assert "is not 'completed'" in result.output
+        assert log.read_bytes() == corrupt
+
+
 def test_cli_refuses_log_without_its_first_events(workspace):
     # a cut log whose first two lines are gone starts at seq 3: analyze and
     # resume exit 4, and the log, its interrupted tail too, stays as it was
@@ -987,3 +1013,37 @@ def test_cli_run_killed_resumes_to_the_uninterrupted_run(tmp_path):
             == committed_view(RunStore(whole / "out" / "runs").load_run(whole_id)[1]))
     assert (report_bytes(killed / "reports")
             == report_bytes(whole / "out" / "reports" / whole_id))
+
+
+# --- exit codes in a fresh process -------------------------------------------
+
+def run_cli_process(*args, cwd=None):
+    # a fresh interpreter loads a command's modules itself, as an operator's
+    # does, so a lookup of its errors cannot lean on modules a test loaded
+    env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "selfevolve.cli", *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_cli_exit_codes_in_a_fresh_process(workspace):
+    # one error from each module of the CLI's exit table: markov, engine, store
+    result = run_cli_process("simulate", "stationary", "--p-ic", "0", "--p-ci", "0")
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: p_ic = p_ci = 0 has no unique stationary distribution\n")
+
+    (workspace / "bad.yaml").write_text(BASE_CONFIG + "backend:\n  endpoint: e\n")
+    result = run_cli_process("run", "bad.yaml", cwd=workspace)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith("error: invalid config: ")
+    assert "exactly one" in result.stderr
+
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    (run_dir(runs, run_id) / "events.log").write_bytes(b"garbage\n{}\n")
+    result = run_cli_process("analyze", run_id, "--runs-dir", runs, "--out", workspace / "a")
+    assert (result.returncode, result.stdout) == (4, "")
+    assert result.stderr.startswith("error: unparseable event at line 1: ")
+
+    result = run_cli_process("analyze", "nope", "--runs-dir", runs, "--out", workspace / "a")
+    assert (result.returncode, result.stdout) == (5, "")
+    assert result.stderr.startswith("error: store unavailable: no readable manifest for run nope")

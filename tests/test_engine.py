@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import io
 import json
 import shutil
 import threading
@@ -17,11 +19,13 @@ from selfevolve.backend import (
     ReasoningResponse,
     ResponseTruncated,
 )
+from selfevolve.aggregate import metric_rows
 from selfevolve.engine import (
     ACCEPTED_EXIT,
     COMPLETED,
     DSER,
     REJECTED_EXIT,
+    TERMINAL_STATUSES,
     VERDEP,
     ControllerConfig,
     IterationRecord,
@@ -32,11 +36,12 @@ from selfevolve.engine import (
     rebuild_trial_states,
     resume_experiment,
     run_experiment,
+    run_inputs,
     run_trial,
     trial_seed,
 )
 from selfevolve.reports import write_run_reports
-from selfevolve.store import Event, RunLog, RunStore, run_dir
+from selfevolve.store import CorruptLog, Event, RunLog, RunStore, _read_events, run_dir
 
 from fixtures import CASE_BLOCKS, PENTAGON_PROBLEM
 from oracles import assert_reads_like_stdlib
@@ -881,3 +886,70 @@ def test_event_log_golden(tmp_path, kind):
     assert (fresh, resumed) == (GOLDEN_LOGS[kind], GOLDEN_LOGS[kind])
     for root in (store.root, copy.root):
         assert_reads_like_stdlib(run_dir(root, run_id) / "events.log")
+
+
+# one of each JSON type, and values a field of the log holds elsewhere; DELETE
+# stands for leaving the member or item out
+DELETE = object()
+SWEEP_VALUES = (None, False, True, 0, 1, -1, 2**64, 0.5, "", "p0", "completed", [], [0],
+                ["p0", 0], {}, DELETE)
+
+
+def json_paths(value, path=()):
+    """The path of every member and item below value, parents first."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+def read_back(inputs, log: bytes):
+    """What a resume and analyze read from log, in memory: the trial states,
+    their metric rows, and the trials a resume would run."""
+    states = rebuild_trial_states(inputs, _read_events(io.BytesIO(log))[0])
+    for pid, problem in inputs.problems.items():
+        metric_rows([st for tid, st in sorted(states.items()) if tid[0] == pid],
+                    problem.answer)
+    return [st for st in states.values() if st.status not in TERMINAL_STATUSES]
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_malformed_line_sweep(tmp_path, kind):
+    # every JSON path of every line of a run whose calls fail at times, set
+    # to each value or deleted, reads back or is a corrupt log: never another
+    # error
+    spec = make_spec(**VERDEP_SPEC)
+    store, run_id = run_mock_experiment(tmp_path, k=2, horizon=3, kind=kind, parallelism=1,
+                                        spec=spec, store_sync="flush", accept_limit=2,
+                                        reject_limit=2,
+                                        backend=SeedFaults(MockBackendProvider(spec)))
+    inputs = run_inputs(store.manifest(run_id))
+    lines = run_dir(store.root, run_id).joinpath("events.log").read_bytes().splitlines(True)
+    assert any(b'"failure"' in line for line in lines)
+    assert read_back(inputs, b"".join(lines)) == []
+    cases = failures = 0
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        for path in json_paths(event):
+            for value in SWEEP_VALUES:
+                edited = copy.deepcopy(event)
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value is DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = value
+                edited_line = json.dumps(edited, separators=(",", ":")).encode() + b"\n"
+                cases += 1
+                try:
+                    read_back(inputs, b"".join(lines[:i]) + edited_line
+                              + b"".join(lines[i + 1:]))
+                except CorruptLog:
+                    pass
+                except Exception as e:  # noqa: BLE001 - any other error is the defect
+                    failures += 1
+                    print(f"line {i} {path} = {value!r}: {e!r}")
+    assert cases > 1000
+    assert failures == 0

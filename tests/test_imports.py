@@ -1,7 +1,12 @@
 """The program's import paths load neither numpy nor requests, nor what only
 some commands use: the HTTP client, the YAML parser, the thread pool, the XML
 and email packages that `xml.sax.saxutils` would pull in, and orjson, which
-the store loads only when a log is read or written."""
+the store loads only when a log is read or written.
+
+The CLI loads a command's modules when that command runs: importing it, or
+asking for help, loads no other module of the package, and a `simulate`
+command adds only `markov`. Each case runs in a fresh interpreter, since the
+test process has loaded every module."""
 
 import json
 import subprocess
@@ -35,6 +40,37 @@ def loaded_after(code: str) -> str:
 ], ids=["cli", "backend_engine"])
 def test_no_numpy_or_requests_on_import(modules):
     assert loaded_after("; ".join(f"import {m}" for m in modules)) == "[]"
+
+
+def package_modules_after(args: list[str] | None) -> str:
+    """The package's modules that a fresh interpreter holds after the CLI ran
+    args, or after importing the CLI when args is None."""
+    code = (f"import atexit, sys; sys.path.insert(0, {str(SRC)!r}); atexit.register(lambda: "
+            "print(sorted(m for m in sys.modules if m.startswith('selfevolve')))); "
+            "from selfevolve.cli import main")
+    if args is not None:
+        code += f"; main({args!r})"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("args", [None, ["--help"], ["simulate", "--help"]],
+                         ids=["import", "help", "simulate_help"])
+def test_cli_loads_no_command_module_before_a_command(args):
+    assert package_modules_after(args) == "['selfevolve', 'selfevolve.cli']"
+
+
+@pytest.mark.parametrize("args", [
+    ["stationary", "--p-ic", "0.3", "--p-ci", "0.1"],
+    ["trajectory", "--p-ic", "0.3", "--p-ci", "0.1", "--steps", "5"],
+    ["absorb", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.9", "--y-i0", "0.3"],
+    ["verdep", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.9", "--y-i0", "0.3",
+     "--samples", "10"],
+], ids=lambda args: args[0])
+def test_simulate_loads_only_markov(args):
+    assert (package_modules_after(["simulate", *args])
+            == "['selfevolve', 'selfevolve.cli', 'selfevolve.markov']")
 
 
 def test_store_imports_no_other_package_module():
