@@ -10,6 +10,14 @@ are independent, so the driver overlaps them on threads when their calls wait
 flows through per-call seeds derived from (run_seed, problem, trial,
 iteration, phase, attempt), which makes resumed execution reproduce the
 uninterrupted run exactly.
+
+The event log is schema 4: each committed iteration appends one
+IterationCommitted {record, calls}, the sole authority for the record's
+existence, so a crash mid-iteration loses only that iteration, and a trial
+that stops appends TrialExited {status}. Call entries are in call order, so a
+re-ask's attempt is its position within its phase; a run is finished when its
+trials are. Schemas 1-3 still load and resume: rebuilding reads only the
+commit kinds and skips an event with no trial, such as schema 3's last line.
 """
 
 from __future__ import annotations
@@ -142,7 +150,7 @@ def _call(backend, context, base_seed, calls, phase, config, parse):
     backend error or a truncation."""
     for attempt in range(config.max_parse_retries + 1):
         seed = derive_seed(base_seed, "attempt", attempt)
-        call = {"phase": phase, "attempt": attempt}
+        call = {"phase": phase}
         calls.append(call)
         try:
             response = backend.reasoning_call(ReasoningRequest(context, seed))
@@ -364,10 +372,11 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                          events: list[Event]) -> dict[tuple[str, int], TrialState]:
     """Reconstruct all trial states purely from committed events, for a run
     manifest or the inputs already built from one; an event of an unknown
-    trial, one whose payload cannot build or holds a mistyped field, a record
-    that is not its trial's next, or an exit whose status the trial's records
-    do not give it is a corrupt log. A kept record's
-    solution comes from the previous one; older records' token totals are dropped."""
+    trial, one that follows its trial's exit, one whose payload cannot build
+    or holds a mistyped field, a record that is not its trial's next, or an
+    exit whose status the trial's records do not give it is a corrupt log. A
+    kept record's solution comes from the previous one; older records' token
+    totals are dropped."""
     inputs = run_inputs(manifest) if isinstance(manifest, dict) else manifest
     states: dict[tuple[str, int], TrialState] = {}
     for pid in inputs.problems:
@@ -380,6 +389,8 @@ def rebuild_trial_states(manifest: dict | RunInputs,
             continue
         try:
             st = states[ev.trial_id]
+            if st.status != RUNNING:  # a second exit, or a record after the exit
+                raise CorruptLog(f"event seq {ev.seq} follows the exit of trial {ev.trial_id}", i)
             if ev.kind == "IterationCommitted":
                 fields = ev.payload["record"]
                 if fields["index"] != len(st.records):
@@ -467,19 +478,16 @@ def resume_experiment(store: RunStore, run_id: str, backend=None,
 
 def _run(store: RunStore, run_id: str, inputs: RunInputs, backend,
          parallelism: int, store_sync: str) -> None:
-    """Run every trial the log does not show as stopped, then finalize.
+    """Run every trial the log does not show as stopped.
 
     The log is read once, by the append handle, and the trial states are
     rebuilt from the events it parsed (none for a fresh run), which are then
-    dropped; a finalized log is rebuilt too, so a corrupt one is refused.
+    dropped; a finished run has no trial left to run, so it appends nothing.
     """
     log = store.open_log(run_id, sync=store_sync)
     try:
         states = rebuild_trial_states(inputs, log.events)
         log.events = []
-        if log.finalized:
-            return
-
         per_problem = hasattr(backend, "for_problem")
 
         def worker(st: TrialState) -> None:
@@ -498,6 +506,5 @@ def _run(store: RunStore, run_id: str, inputs: RunInputs, backend,
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 list(pool.map(worker, pending))
-        log.append("RunFinalized", {})
     finally:
         log.close()

@@ -1,17 +1,12 @@
 """Durable run manifests and an append-only event log.
 
 Layout: <root>/<run_id>/manifest.json plus <root>/<run_id>/events.log with one
-JSON record per line. Appends are serialized by a single writer lock; an
-IterationCommitted event is the sole authority for a record's existence, so a
-crash mid-iteration simply loses that iteration and nothing else. A trailing
-partial line, or an unparseable last line, is treated as an interrupted write
-and discarded on load; anything else malformed is a corrupt log. Reads stream
-the log one line at a time and keep only the parsed events; an append handle
-keeps none once its opener has rebuilt the trials from them.
-
-Schemas 2 and 3 append one IterationCommitted {record, calls} per iteration,
-then TrialExited and RunFinalized; schema 1 logs, which also hold per-call
-events, still load because rebuilding reads only the commit kinds.
+JSON event per line, numbered from 1 by its seq. Appends are serialized by a
+single writer lock. A trailing partial line, or an unparseable last line, is
+treated as an interrupted write and discarded on load; anything else malformed
+is a corrupt log. Reads stream the log one line at a time and keep only the
+parsed events; an append handle keeps none once its opener has rebuilt the
+trials from them. What the events mean is the engine's schema.
 
 A manifest is stamped on creation with config_hash, over its config, and
 inputs_hash, over its run seed, trial count and problems; every read checks
@@ -28,7 +23,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class StoreUnavailable(Exception):
@@ -37,10 +32,6 @@ class StoreUnavailable(Exception):
 
 class ConfigDrift(ValueError):
     """A manifest, or a live config, differs from what a run was stamped with."""
-
-
-class RunFinalized(Exception):
-    """Append attempted on a finalized run."""
 
 
 class CorruptLog(Exception):
@@ -94,16 +85,10 @@ class RunLog:
     def __init__(self, path: Path, sync: str = "always"):
         self._sync = sync_mode(sync)
         self._lock = threading.Lock()
-        self._next_seq = 1
-        self.finalized = False
         self.events: list[Event] = []
         if path.exists():
             with open(path, "rb") as fh:
-                events, valid = _read_events(fh)
-            self.events = events
-            if events:
-                self._next_seq = events[-1].seq + 1
-                self.finalized = any(e.kind == "RunFinalized" for e in events)
+                self.events, valid = _read_events(fh)
             if valid < path.stat().st_size:
                 # drop the interrupted final write so new appends start on a
                 # fresh line instead of extending the partial one
@@ -111,6 +96,7 @@ class RunLog:
                     fh.truncate(valid)
                     fh.flush()
                     os.fsync(fh.fileno())
+        self._next_seq = len(self.events) + 1
         try:
             self._fh = open(path, "ab")
         except OSError as e:
@@ -119,8 +105,6 @@ class RunLog:
     def append(self, kind: str, payload: dict, trial_id: tuple[str, int] | None = None) -> int:
         """Write one event; it is durable (per sync mode) before returning."""
         with self._lock:
-            if self.finalized:
-                raise RunFinalized("cannot append to a finalized run")
             seq = self._next_seq
             record = {
                 "seq": seq,
@@ -137,8 +121,6 @@ class RunLog:
             except OSError as e:
                 raise StoreUnavailable(str(e)) from e
             self._next_seq = seq + 1
-            if kind == "RunFinalized":
-                self.finalized = True
             return seq
 
     def close(self) -> None:
@@ -195,11 +177,8 @@ def _read_events(fh) -> tuple[list[Event], int]:
             if not fh.read(1):
                 break  # an unparseable last line is an interrupted write
             raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-        expected = events[-1].seq + 1 if events else 1
-        if ev.seq != expected:
-            raise CorruptLog(
-                f"sequence gap: expected {expected}, found {ev.seq}", len(events)
-            )
+        if ev.seq != n:  # every line before it holds its own number
+            raise CorruptLog(f"sequence gap: expected {n}, found {ev.seq}", len(events))
         events.append(ev)
         valid += len(line)
     return events, valid

@@ -729,7 +729,7 @@ def test_cli_analyze_dser_writes_no_exit_ratios(workspace):
 @pytest.mark.parametrize("edit", CORRUPT_LINE_EDITS.values(), ids=CORRUPT_LINE_EDITS.keys())
 def test_cli_analyze_corrupt_log(workspace, edit):
     # a finished run's log with a corrupt middle line exits 4 from analyze,
-    # and from resume, which rebuilds a finalized log too and leaves it as it was
+    # and from resume, which rebuilds a finished log too and leaves it as it was
     run_id = run_cli_experiment(workspace)
     log = run_dir(workspace / "out" / "runs", run_id) / "events.log"
     lines = log.read_bytes().splitlines()
@@ -740,6 +740,44 @@ def test_cli_analyze_corrupt_log(workspace, edit):
                     "--out", workspace / "a")
     assert result.exit_code == 4, result.output
     result = invoke("resume", run_id, "--runs-dir", workspace / "out" / "runs")
+    assert result.exit_code == 4, result.output
+    assert log.read_bytes() == corrupt
+
+
+def exit_moved_onto_exited_trial(lines):
+    """lines with the second trial's exit edited to name the first trial,
+    which exited before it."""
+    events = [json.loads(line) for line in lines]
+    first, second = [i for i, e in enumerate(events) if e["kind"] == "TrialExited"][:2]
+    events[second]["trial"] = events[first]["trial"]
+    lines[second] = json.dumps(events[second], separators=(",", ":")).encode()
+    return lines
+
+
+def commit_after_exit(lines):
+    """lines and, after them, a commit of the first trial's next record."""
+    events = [json.loads(line) for line in lines]
+    last = [e for e in events if e["kind"] == "IterationCommitted"
+            and e["trial"] == events[0]["trial"]][-1]
+    record = dict(last["payload"]["record"], index=last["payload"]["record"]["index"] + 1)
+    extra = dict(last, seq=len(events) + 1, payload=dict(last["payload"], record=record))
+    return lines + [json.dumps(extra, separators=(",", ":")).encode()]
+
+
+@pytest.mark.parametrize("edit", [exit_moved_onto_exited_trial, commit_after_exit])
+def test_cli_trial_event_after_its_exit_is_corrupt(workspace, edit):
+    # no event of a trial may follow its exit: with no run-level marker, this
+    # is what keeps such a log from reading as another run. analyze and resume
+    # exit 4, and the log stays as it was
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    corrupt = b"".join(line + b"\n" for line in edit(log.read_bytes().splitlines()))
+    log.write_bytes(corrupt)
+    result = invoke("analyze", run_id, "--runs-dir", runs, "--out", workspace / "a")
+    assert result.exit_code == 4, result.output
+    assert "follows the exit of trial" in result.output
+    result = invoke("resume", run_id, "--runs-dir", runs)
     assert result.exit_code == 4, result.output
     assert log.read_bytes() == corrupt
 
@@ -999,8 +1037,8 @@ def test_cli_run_killed_resumes_to_the_uninterrupted_run(tmp_path):
         child.kill()
         child.wait()
     assert child.returncode == -signal.SIGKILL
-    assert b"RunFinalized" not in logs[0].read_bytes()
     run_id = logs[0].parent.name
+    assert engine.RUNNING in {st.status for st in RunStore(runs).load_run(run_id)[1].values()}
 
     result = invoke("analyze", run_id, "--runs-dir", runs, "--out", killed / "partial")
     assert result.exit_code == 0, result.output

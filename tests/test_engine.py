@@ -508,8 +508,7 @@ def test_one_append_per_committed_iteration(tmp_path):
     commit = next(e for e in events if e.kind == "IterationCommitted"
                   and e.payload["record"]["index"] == 1)
     assert set(commit.payload) == {"record", "calls"}
-    assert [(c["phase"], c["attempt"]) for c in commit.payload["calls"]] == [
-        ("verify", 0), ("refine", 0)]
+    assert [c["phase"] for c in commit.payload["calls"]] == ["verify", "refine"]
     assert all(c["thinking"].startswith(("checking", "working")) and
                c["completion_tokens"] > 0 for c in commit.payload["calls"])
 
@@ -526,7 +525,7 @@ def test_failed_call_kept_in_commit(tmp_path):
     commit = store.events(run_id)[0]
     assert commit.payload["record"]["failure"] == "backend_error"
     assert commit.payload["calls"] == [
-        {"phase": "solve", "attempt": 0, "failure": "backend_error", "error": "down"}]
+        {"phase": "solve", "failure": "backend_error", "error": "down"}]
 
 
 def test_verdep_resume_after_exit_record(tmp_path):
@@ -717,7 +716,7 @@ RECORD_FIELDS = ["index", "solution_text", "answer", "verification_text", "verdi
 
 
 def v2_events(events):
-    """A schema-3 run's events as schema 2 wrote them: every record field,
+    """A run's events as schema 2 wrote them: every record field,
     nulls too, a kept record's solution and answer written again, and the
     record's token totals, the usage of its last verify attempt plus that of
     the last solve or refine attempt when the record holds its solution."""
@@ -745,9 +744,9 @@ def log_line(ev) -> bytes:
 
 
 def test_v1_and_v2_logs_resume_to_v3_run(tmp_path):
-    # a run's log as schema 1 or 2 wrote it loads to the schema 3 run, and
+    # a run's log as schema 1 or 2 wrote it loads to the schema 4 run, and
     # schema 2 analyzes to the same report bytes; cut mid-record, each resumes
-    # to the uninterrupted run, appending schema 3 lines after the older ones
+    # to the uninterrupted run, appending schema 4 lines after the older ones
     spec = make_spec(**VERDEP_SPEC)
     backend = SeedFaults(MockBackendProvider(spec))
     store, run_id = run_mock_experiment(tmp_path / "v3", k=4, horizon=30, kind=VERDEP,
@@ -858,18 +857,25 @@ def log_digest(path):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-# schema 3: the schema 2 logs, pinned since before run and resume shared one
-# path, with the records' token totals, null fields and kept solutions left out
+# schema 4: the schema 2 logs, pinned since before run and resume shared one
+# path, with the records' token totals, null fields and kept solutions left
+# out (schema 3), then each call's attempt and the RunFinalized line
 GOLDEN_LOGS = {
+    DSER: "a017d1a4a2698deb167c58a5a49aef74847126dd807782ad2019ccda47433281",
+    VERDEP: "bea9fd2b80f8c59f0649b969c63b529ba58409c441dbe5234e623d7c88cf2243",
+}
+
+
+# the schema 3 logs the golden runs wrote, which v3_lines rebuilds
+GOLDEN_V3_LOGS = {
     DSER: "bd88a09bad6fd8d2d626b077d8284198ddccf8645152e305f2ec6208632d7694",
     VERDEP: "f30ab0dce974d32f1284f6becb3819864c3b05a5bd32b2aa5be7a9ac6d140420",
 }
 
 
-@pytest.mark.parametrize("kind", [DSER, VERDEP])
-def test_event_log_golden(tmp_path, kind):
-    # every persisted byte but ts is pinned, for a fresh run and for the same
-    # run resumed from half its log
+def golden_run(tmp_path, kind):
+    """The run the golden logs pin: 2 problems x 3 trials on the mock, with
+    faults at fixed seeds; returns (store, run_id, mock spec)."""
     spec = make_spec(**VERDEP_SPEC, wrong_answer_space=5)
     problems = [Problem("p0", "what is 59+1?", AnswerKey("60")),
                 Problem("p1", "what is 7*8+4?", AnswerKey("60"))]
@@ -878,6 +884,14 @@ def test_event_log_golden(tmp_path, kind):
     run_id = run_experiment(problems, 3, config, SeedFaults(MockBackendProvider(spec)),
                             PROMPTS, 5, store, parallelism=1, run_id="run",
                             store_sync="flush")
+    return store, run_id, spec
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_event_log_golden(tmp_path, kind):
+    # every persisted byte but ts is pinned, for a fresh run and for the same
+    # run resumed from half its log
+    store, run_id, spec = golden_run(tmp_path, kind)
     full = run_dir(store.root, run_id).joinpath("events.log").read_bytes()
     copy = cut_copy(store, run_id, tmp_path / "cut", full[:len(full) // 2])
     resume_experiment(copy, run_id, SeedFaults(MockBackendProvider(spec)), store_sync="flush")
@@ -886,6 +900,53 @@ def test_event_log_golden(tmp_path, kind):
     assert (fresh, resumed) == (GOLDEN_LOGS[kind], GOLDEN_LOGS[kind])
     for root in (store.root, copy.root):
         assert_reads_like_stdlib(run_dir(root, run_id) / "events.log")
+
+
+def v3_lines(events) -> list[bytes]:
+    """A schema-4 run's log lines as schema 3 wrote them: each call entry
+    numbered by its attempt within its phase, and a RunFinalized line last."""
+    lines = []
+    for ev in events:
+        if ev.kind == "IterationCommitted":
+            calls, attempts = [], {}
+            for c in ev.payload["calls"]:
+                attempts[c["phase"]] = attempts.get(c["phase"], -1) + 1
+                calls.append({"phase": c["phase"], "attempt": attempts[c["phase"]], **c})
+            ev = Event(ev.seq, ev.trial_id, ev.kind, dict(ev.payload, calls=calls), ev.ts)
+        lines.append(log_line(ev))
+    return lines + [log_line(Event(len(events) + 1, None, "RunFinalized", {}, 0.0))]
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_v3_log_analyzes_and_resumes_as_before(tmp_path, kind):
+    # the golden run's log as schema 3 wrote it gives the same reports, and a
+    # resume leaves it byte for byte; cut mid-run, it resumes to the
+    # uninterrupted run by appending the schema 4 lines, and its manifest
+    # keeps schema_version 3
+    store, run_id, spec = golden_run(tmp_path, kind)
+    manifest, states = store.load_run(run_id)
+    events = store.events(run_id)
+    lines = v3_lines(events)
+    v3_manifest = dict(manifest, schema_version=3)
+    v3 = cut_copy(store, run_id, tmp_path / "v3", b"".join(lines), v3_manifest)
+    log = run_dir(v3.root, run_id) / "events.log"
+    assert log_digest(log) == GOLDEN_V3_LOGS[kind]
+    reports = [{path.name: path.read_bytes()
+                for path in write_run_reports(source, run_id, tmp_path / f"reports{n}")}
+               for n, source in enumerate((store, v3))]
+    assert reports[0] == reports[1]
+    resume_experiment(v3, run_id, SeedFaults(MockBackendProvider(spec)), store_sync="flush")
+    assert log.read_bytes() == b"".join(lines)
+
+    i = len(events) // 2
+    cut = cut_copy(store, run_id, tmp_path / "cut", b"".join(lines[:i]) + lines[i][:40],
+                   v3_manifest)
+    resume_experiment(cut, run_id, SeedFaults(MockBackendProvider(spec)), store_sync="flush")
+    assert committed_view(cut.load_run(run_id)[1]) == committed_view(states)
+    assert cut.manifest(run_id)["schema_version"] == 3
+    untimed = [(ev.seq, ev.trial_id, ev.kind, ev.payload) for ev in cut.events(run_id)]
+    assert untimed == [(ev.seq, ev.trial_id, ev.kind, ev.payload)
+                       for ev in v3.events(run_id)[:i] + events[i:]]
 
 
 # one of each JSON type, and values a field of the log holds elsewhere; DELETE
