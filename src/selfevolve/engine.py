@@ -16,8 +16,9 @@ IterationCommitted {record, calls}, the sole authority for the record's
 existence, so a crash mid-iteration loses only that iteration, and a trial
 that stops appends TrialExited {status}. Call entries are in call order, so a
 re-ask's attempt is its position within its phase; a run is finished when its
-trials are. Schemas 1-3 still load and resume: rebuilding reads only the
-commit kinds and skips an event with no trial, such as schema 3's last line.
+trials are. Schemas 1-3 still load and resume: a rebuild skips schema 1's
+per-call kinds and the RunFinalized line, the one kind with no trial, that
+ended a run; a line of any other kind is a corrupt log.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .backend import (BackendConfig, BackendError, HttpBackend, MockBackendProvi
                       ReasoningRequest, ResponseTruncated, mock_spec_from_dict)
 from .markov import _check_int
 from .seeds import derive_seed
-from .store import CorruptLog, Event, RunLog, RunStore, sync_mode
+from .store import CorruptLog, RunLog, RunStore, sync_mode
 
 DEFAULT_SOLVE_PROMPT = (
     "Solve the following problem step by step. "
@@ -369,10 +370,10 @@ def trial_seed(run_seed: int, problem_id: str, trial_index: int) -> int:
 
 
 def rebuild_trial_states(manifest: dict | RunInputs,
-                         events: list[Event]) -> dict[tuple[str, int], TrialState]:
+                         events: list[dict]) -> dict[tuple[str, int], TrialState]:
     """Reconstruct all trial states purely from committed events, for a run
-    manifest or the inputs already built from one; an event of an unknown
-    trial, one that follows its trial's exit, one whose payload cannot build
+    manifest or the inputs already built from one; an event of an unknown kind
+    or trial, one that follows its trial's exit, one whose payload cannot build
     or holds a mistyped field, a record that is not its trial's next, or an
     exit whose status the trial's records do not give it is a corrupt log. A
     kept record's solution comes from the previous one; older records' token
@@ -385,17 +386,20 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                 problem_id=pid, trial_index=t, controller=inputs.controller.kind,
                 seed=trial_seed(inputs.run_seed, pid, t))
     for i, ev in enumerate(events):
-        if ev.trial_id is None:
-            continue
+        seq, trial, kind = ev["seq"], ev["trial"], ev["kind"]
         try:
-            st = states[ev.trial_id]
+            if trial is None:
+                if kind != "RunFinalized":
+                    raise TypeError(f"a {kind!r} event has no trial")
+                continue
+            st = states[trial]
             if st.status != RUNNING:  # a second exit, or a record after the exit
-                raise CorruptLog(f"event seq {ev.seq} follows the exit of trial {ev.trial_id}", i)
-            if ev.kind == "IterationCommitted":
-                fields = ev.payload["record"]
+                raise CorruptLog(f"event seq {seq} follows the exit of trial {trial}", i)
+            if kind == "IterationCommitted":
+                fields = ev["payload"]["record"]
                 if fields["index"] != len(st.records):
-                    raise CorruptLog(f"event seq {ev.seq} commits record {fields['index']!r} "
-                                     f"of trial {ev.trial_id}, not {len(st.records)}", i)
+                    raise CorruptLog(f"event seq {seq} commits record {fields['index']!r} "
+                                     f"of trial {trial}, not {len(st.records)}", i)
                 if "prompt_tokens" in fields:  # a schema 1 or 2 record's token totals
                     fields = {k: v for k, v in fields.items() if not k.endswith("_tokens")}
                 if _kept(st.controller, fields):
@@ -409,12 +413,14 @@ def rebuild_trial_states(manifest: dict | RunInputs,
                         or type(r.verification_text) not in _TEXT):
                     raise TypeError(f"a field of record {r.index!r} has the wrong type")
                 st.records.append(r)
-            elif ev.kind == "TrialExited":
+            elif kind == "TrialExited":
                 st.status = _status(inputs.controller, st.records)
-                if st.status == RUNNING or ev.payload["status"] != st.status:
-                    raise TypeError(f"status {ev.payload['status']!r} is not {st.status!r}")
+                if st.status == RUNNING or ev["payload"]["status"] != st.status:
+                    raise TypeError(f"status {ev['payload']['status']!r} is not {st.status!r}")
+            elif kind not in ("SolveStarted", "CallSent", "CallReceived"):  # schema 1's
+                raise TypeError(f"kind {kind!r} is not one that a schema wrote for a trial")
         except (KeyError, TypeError) as e:
-            raise CorruptLog(f"event seq {ev.seq} does not build: {e!r}", i) from e
+            raise CorruptLog(f"event seq {seq} does not build: {e!r}", i) from e
     return states
 
 

@@ -4,9 +4,10 @@ Layout: <root>/<run_id>/manifest.json plus <root>/<run_id>/events.log with one
 JSON event per line, numbered from 1 by its seq. Appends are serialized by a
 single writer lock. A trailing partial line, or an unparseable last line, is
 treated as an interrupted write and discarded on load; anything else malformed
-is a corrupt log. Reads stream the log one line at a time and keep only the
-parsed events; an append handle keeps none once its opener has rebuilt the
-trials from them. What the events mean is the engine's schema.
+is a corrupt log. The store frames lines (seq, ts, the valid prefix) and
+nothing more: a read streams the log and returns each line's parsed object,
+with its trial made a tuple; an append handle keeps none once its opener has
+rebuilt the trials. What kind and payload mean is the engine's schema.
 
 A manifest is stamped on creation with config_hash, over its config, and
 inputs_hash, over its run seed, trial count and problems; every read checks
@@ -20,7 +21,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 SCHEMA_VERSION = 4
@@ -38,15 +38,6 @@ class CorruptLog(Exception):
     def __init__(self, message: str, valid_prefix_events: int):
         super().__init__(f"{message} (last valid prefix: {valid_prefix_events} events)")
         self.valid_prefix_events = valid_prefix_events
-
-
-@dataclass
-class Event:
-    seq: int
-    trial_id: tuple[str, int] | None
-    kind: str
-    payload: dict
-    ts: float
 
 
 def sync_mode(mode: str) -> str:
@@ -85,7 +76,7 @@ class RunLog:
     def __init__(self, path: Path, sync: str = "always"):
         self._sync = sync_mode(sync)
         self._lock = threading.Lock()
-        self.events: list[Event] = []
+        self.events: list[dict] = []
         if path.exists():
             with open(path, "rb") as fh:
                 self.events, valid = _read_events(fh)
@@ -148,37 +139,33 @@ def _line(record: dict) -> bytes:
     return (_encode(record) + "\n").encode("ascii")
 
 
-def _read_events(fh) -> tuple[list[Event], int]:
+def _read_events(fh) -> tuple[list[dict], int]:
     """Parse the log that fh, a binary file, holds a line at a time; returns
-    (events, byte length of the valid prefix). orjson decodes each line; the
-    stdlib decoder, the writer's grammar, decides a line orjson refuses (NaN,
-    Infinity, a lone surrogate, 1e400)."""
+    (the lines' objects, byte length of the valid prefix). orjson decodes each
+    line; the stdlib decoder, the writer's grammar, decides a line orjson
+    refuses (NaN, Infinity, a lone surrogate, 1e400)."""
     import orjson  # loaded only when a log is read or written, not on import
-    events: list[Event] = []
+    events: list[dict] = []
     valid = 0
     for n, line in enumerate(fh, 1):
         if not line.endswith(b"\n"):
             break  # the last write was cut
         try:
             try:
-                d = orjson.loads(line)
+                ev = orjson.loads(line)
             except ValueError:
-                d = _decode(line.decode("utf-8"))
-            if type(d["seq"]) is not int:  # a bool or a float too
-                raise TypeError(f"seq {d['seq']!r} is not an integer")
-            ev = Event(
-                seq=d["seq"],
-                trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
-                kind=d["kind"],
-                payload=d["payload"],
-                ts=d["ts"],
-            )
+                ev = _decode(line.decode("utf-8"))
+            if type(ev["seq"]) is not int:  # a bool or a float too
+                raise TypeError(f"seq {ev['seq']!r} is not an integer")
+            if ev["trial"] is not None:
+                ev["trial"] = tuple(ev["trial"])
+            ev["kind"], ev["payload"], ev["ts"]  # a line that lacks one is unparseable
         except (ValueError, KeyError, TypeError) as e:
             if not fh.read(1):
                 break  # an unparseable last line is an interrupted write
             raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-        if ev.seq != n:  # every line before it holds its own number
-            raise CorruptLog(f"sequence gap: expected {n}, found {ev.seq}", len(events))
+        if ev["seq"] != n:  # every line before it holds its own number
+            raise CorruptLog(f"sequence gap: expected {n}, found {ev['seq']}", len(events))
         events.append(ev)
         valid += len(line)
     return events, valid
@@ -222,7 +209,7 @@ class RunStore:
             raise StoreUnavailable(f"run {run_id} does not exist")
         return RunLog(d / "events.log", sync=sync)
 
-    def events(self, run_id: str) -> list[Event]:
+    def events(self, run_id: str) -> list[dict]:
         path = run_dir(self.root, run_id) / "events.log"
         if not path.exists():
             return []

@@ -25,7 +25,7 @@ from selfevolve.markov import (
     TransitionParams,
     absorption_probabilities,
 )
-from selfevolve.store import CorruptLog, Event, _read_events
+from selfevolve.store import CorruptLog, _read_events
 
 
 def transition_matrix(params: TransitionParams) -> np.ndarray:
@@ -160,33 +160,29 @@ def verdep_exit_frequencies(
 _decode = json.JSONDecoder().decode
 
 
-def read_events(fh) -> tuple[list[Event], int]:
-    """store._read_events on the stdlib decoder alone: (events, byte length
-    of the valid prefix)."""
-    events: list[Event] = []
+def read_events(fh) -> tuple[list[dict], int]:
+    """store._read_events on the stdlib decoder alone: (the lines' objects,
+    each with its trial made a tuple, byte length of the valid prefix)."""
+    events: list[dict] = []
     valid = 0
     for n, line in enumerate(fh, 1):
         if not line.endswith(b"\n"):
             break  # the last write was cut
         try:
-            d = _decode(line.decode("utf-8"))
-            if type(d["seq"]) is not int:  # a bool or a float too
-                raise TypeError(f"seq {d['seq']!r} is not an integer")
-            ev = Event(
-                seq=d["seq"],
-                trial_id=tuple(d["trial"]) if d["trial"] is not None else None,
-                kind=d["kind"],
-                payload=d["payload"],
-                ts=d["ts"],
-            )
+            ev = _decode(line.decode("utf-8"))
+            if type(ev["seq"]) is not int:  # a bool or a float too
+                raise TypeError(f"seq {ev['seq']!r} is not an integer")
+            if ev["trial"] is not None:
+                ev["trial"] = tuple(ev["trial"])
+            ev["kind"], ev["payload"], ev["ts"]  # a line that lacks one is unparseable
         except (ValueError, KeyError, TypeError) as e:
             if not fh.read(1):
                 break  # an unparseable last line is an interrupted write
             raise CorruptLog(f"unparseable event at line {n}: {e}", len(events)) from e
-        expected = events[-1].seq + 1 if events else 1
-        if ev.seq != expected:
+        expected = events[-1]["seq"] + 1 if events else 1
+        if ev["seq"] != expected:
             raise CorruptLog(
-                f"sequence gap: expected {expected}, found {ev.seq}", len(events)
+                f"sequence gap: expected {expected}, found {ev['seq']}", len(events)
             )
         events.append(ev)
         valid += len(line)

@@ -1,8 +1,10 @@
 """The benchmark runs this source tree through a frozen API: its two
-self-checks must pass, and every attribute its tracer patches must exist and
-be looked up when a run calls it."""
+self-checks must pass, every attribute its tracer patches must exist and be
+looked up when a run calls it, and a traced pass must read every layer."""
 
+import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +57,26 @@ def test_trace_patch_points_are_reached(tmp_path, monkeypatch):
                           engine.ControllerConfig(max_iterations=3), MockBackendProvider(spec),
                           engine.PromptSet(), 5, store.RunStore(tmp_path), store_sync="flush")
     assert all(counts.values()), counts
+
+
+def test_bench_traced_pass_reads_every_layer(tmp_path, monkeypatch):
+    # one traced pass of dser_run shrunk to 1 problem x K=8 x 3 iterations: a
+    # change that leaves a patch target callable but breaks the count its span
+    # holds (the kind RunLog.append is given, say) fails a check or a metric
+    monkeypatch.syspath_prepend(str(BENCH))
+    check, tracing, workloads = map(importlib.import_module, ("check", "tracing", "workloads"))
+
+    class SmallDserRun(workloads.DserRun):
+        n_problems, k = 1, 8
+        config = engine.ControllerConfig(kind="dser", max_iterations=3)
+
+    assert SmallDserRun.k >= check.RERUN_SAMPLE  # the trials the check re-runs
+    wl = SmallDserRun(7, tmp_path)
+    wl.problems = workloads.make_problems(wl.seed, wl.n_problems)
+    tracer = tracing.Tracer()
+    _, errors = workloads.measure_pass(wl, 0, tracer)
+    assert errors == []
+    metrics = tracing.layer_metrics(tracer, None)
+    assert len(metrics) == 24
+    assert all(math.isfinite(value) for value in metrics.values()), metrics
+

@@ -782,6 +782,40 @@ def test_cli_trial_event_after_its_exit_is_corrupt(workspace, edit):
     assert log.read_bytes() == corrupt
 
 
+def early_exit_kind_bogus(lines):
+    """lines with a trial's early exit given a kind that no schema wrote."""
+    events = [json.loads(line) for line in lines]
+    i = next(i for i, e in enumerate(events) if e["kind"] == "TrialExited"
+             and e["payload"]["status"] in ("accepted_exit", "rejected_exit"))
+    lines[i] = json.dumps(dict(events[i], kind="Bogus"), separators=(",", ":")).encode()
+    return lines
+
+
+def bogus_line_without_trial(lines):
+    """lines and, after them, a line with no trial of a kind no schema wrote."""
+    extra = {"seq": len(lines) + 1, "ts": 0.0, "trial": None, "kind": "Bogus", "payload": {}}
+    return lines + [json.dumps(extra, separators=(",", ":")).encode()]
+
+
+@pytest.mark.parametrize("edit", [early_exit_kind_bogus, bogus_line_without_trial])
+def test_cli_kind_no_schema_wrote_is_corrupt(workspace, edit):
+    # a rebuild skips only the kinds older schemas wrote: a VERDEP log with any
+    # other kind exits 4 from analyze and resume, and the log stays as it was
+    (workspace / "config.yaml").write_text(BASE_CONFIG.replace(
+        "kind: dser", "kind: verdep\n  accept_limit: 2\n  reject_limit: 2"))
+    run_id = run_cli_experiment(workspace)
+    runs = workspace / "out" / "runs"
+    log = run_dir(runs, run_id) / "events.log"
+    corrupt = b"".join(line + b"\n" for line in edit(log.read_bytes().splitlines()))
+    log.write_bytes(corrupt)
+    for command in (["analyze", run_id, "--runs-dir", runs, "--out", workspace / "a"],
+                    ["resume", run_id, "--runs-dir", runs]):
+        result = invoke(*command)
+        assert result.exit_code == 4, result.output
+        assert "'Bogus'" in result.output
+    assert log.read_bytes() == corrupt
+
+
 def test_cli_verdep_record_without_its_solution(workspace):
     # a VERDEP line that passed keeps its solution and leaves it out; one that
     # failed verification was refined, so without its solution the log is

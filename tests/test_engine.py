@@ -41,7 +41,7 @@ from selfevolve.engine import (
     trial_seed,
 )
 from selfevolve.reports import write_run_reports
-from selfevolve.store import CorruptLog, Event, RunLog, RunStore, _read_events, run_dir
+from selfevolve.store import CorruptLog, RunLog, RunStore, _read_events, run_dir
 
 from fixtures import CASE_BLOCKS, PENTAGON_PROBLEM
 from oracles import assert_reads_like_stdlib
@@ -503,14 +503,14 @@ def cut_copy(store, run_id, dest, log_bytes, manifest=None):
 def test_one_append_per_committed_iteration(tmp_path):
     store, run_id = run_mock_experiment(tmp_path, k=2, horizon=3)
     events = store.events(run_id)
-    assert [e.kind for e in events if e.trial_id == ("p0", 0)] == (
+    assert [e["kind"] for e in events if e["trial"] == ("p0", 0)] == (
         ["IterationCommitted"] * 4 + ["TrialExited"])
-    commit = next(e for e in events if e.kind == "IterationCommitted"
-                  and e.payload["record"]["index"] == 1)
-    assert set(commit.payload) == {"record", "calls"}
-    assert [c["phase"] for c in commit.payload["calls"]] == ["verify", "refine"]
+    commit = next(e for e in events if e["kind"] == "IterationCommitted"
+                  and e["payload"]["record"]["index"] == 1)
+    assert set(commit["payload"]) == {"record", "calls"}
+    assert [c["phase"] for c in commit["payload"]["calls"]] == ["verify", "refine"]
     assert all(c["thinking"].startswith(("checking", "working")) and
-               c["completion_tokens"] > 0 for c in commit.payload["calls"])
+               c["completion_tokens"] > 0 for c in commit["payload"]["calls"])
 
 
 def test_failed_call_kept_in_commit(tmp_path):
@@ -523,8 +523,8 @@ def test_failed_call_kept_in_commit(tmp_path):
                             ControllerConfig(kind=DSER, max_iterations=0),
                             FailingSolve(), PROMPTS, 1, store, parallelism=1)
     commit = store.events(run_id)[0]
-    assert commit.payload["record"]["failure"] == "backend_error"
-    assert commit.payload["calls"] == [
+    assert commit["payload"]["record"]["failure"] == "backend_error"
+    assert commit["payload"]["calls"] == [
         {"phase": "solve", "failure": "backend_error", "error": "down"}]
 
 
@@ -682,13 +682,13 @@ def v1_log(events):
     CallReceived, a SolveStarted per trial, streak extras on VERDEP commits."""
     lines, streaks = [], {}
     for ev in events:
-        if ev.kind == "TrialExited":
-            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev.trial_id),
-                          "kind": ev.kind, "payload": ev.payload})
-        if ev.kind != "IterationCommitted":
+        if ev["kind"] == "TrialExited":
+            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev["trial"]),
+                          "kind": ev["kind"], "payload": ev["payload"]})
+        if ev["kind"] != "IterationCommitted":
             continue
-        record = ev.payload["record"]
-        passes, fails = streaks.get(ev.trial_id, (0, 0))
+        record = ev["payload"]["record"]
+        passes, fails = streaks.get(ev["trial"], (0, 0))
         kinds = []
         if record["index"] == 0:
             kinds.append(("SolveStarted", {"seed": 1}))
@@ -704,10 +704,10 @@ def v1_log(events):
         payload = {"record": record}
         if record["index"] > 0:
             payload.update(pass_streak=passes, fail_streak=fails)
-            streaks[ev.trial_id] = (passes, fails)
+            streaks[ev["trial"]] = (passes, fails)
         kinds.append(("IterationCommitted", payload))
         for kind, body in kinds:
-            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev.trial_id),
+            lines.append({"seq": len(lines) + 1, "ts": 0.0, "trial": list(ev["trial"]),
                           "kind": kind, "payload": body})
     return [(line["kind"], (json.dumps(line) + "\n").encode()) for line in lines]
 
@@ -722,24 +722,25 @@ def v2_events(events):
     the last solve or refine attempt when the record holds its solution."""
     out, priors = [], {}
     for ev in events:
-        if ev.kind == "IterationCommitted":
-            record = ev.payload["record"]
-            last = {c["phase"]: c for c in ev.payload["calls"]}
+        if ev["kind"] == "IterationCommitted":
+            record = ev["payload"]["record"]
+            last = {c["phase"]: c for c in ev["payload"]["calls"]}
             made = "refine" if record["index"] else "solve"
             counted = [last.get("verify")] + ([last.get(made)] if "solution_text" in record else [])
             tokens = {k: sum(c.get(k, 0) for c in counted if c)
                       for k in ("prompt_tokens", "completion_tokens")}
-            record = {**dict.fromkeys(RECORD_FIELDS), **priors.get(ev.trial_id, {}), **record,
+            record = {**dict.fromkeys(RECORD_FIELDS), **priors.get(ev["trial"], {}), **record,
                       **tokens}
-            priors[ev.trial_id] = {k: record[k] for k in ("solution_text", "answer")}
-            ev = Event(ev.seq, ev.trial_id, ev.kind, dict(ev.payload, record=record), ev.ts)
+            priors[ev["trial"]] = {k: record[k] for k in ("solution_text", "answer")}
+            ev = dict(ev, payload=dict(ev["payload"], record=record))
         out.append(ev)
     return out
 
 
 def log_line(ev) -> bytes:
-    return (json.dumps({"seq": ev.seq, "ts": ev.ts, "trial": ev.trial_id and list(ev.trial_id),
-                        "kind": ev.kind, "payload": ev.payload}, separators=(",", ":"))
+    return (json.dumps({"seq": ev["seq"], "ts": ev["ts"],
+                        "trial": ev["trial"] and list(ev["trial"]), "kind": ev["kind"],
+                        "payload": ev["payload"]}, separators=(",", ":"))
             + "\n").encode()
 
 
@@ -754,7 +755,7 @@ def test_v1_and_v2_logs_resume_to_v3_run(tmp_path):
                                         backend=backend)
     manifest, states = store.load_run(run_id)
     events = v2_events(store.events(run_id))
-    v2_lines = [(ev.kind, log_line(ev)) for ev in events]
+    v2_lines = [(ev["kind"], log_line(ev)) for ev in events]
     v1_lines = v1_log(events)
     assert {kind for kind, _ in v1_lines} == {"SolveStarted", "CallSent", "CallReceived",
                                              "IterationCommitted", "TrialExited"}
@@ -777,8 +778,8 @@ def test_v1_and_v2_logs_resume_to_v3_run(tmp_path):
             len(st.records) for st in states.values())
         resume_experiment(copy, run_id, backend, store_sync="flush")
         assert committed_view(copy.load_run(run_id)[1]) == committed_view(states)
-        totals = ["prompt_tokens" in e.payload["record"] for e in copy.events(run_id)
-                  if e.kind == "IterationCommitted"]
+        totals = ["prompt_tokens" in e["payload"]["record"] for e in copy.events(run_id)
+                  if e["kind"] == "IterationCommitted"]
         assert totals[0] and not totals[-1] and totals == sorted(totals, reverse=True)
 
 
@@ -811,8 +812,8 @@ def test_commit_lines_leave_out_what_rebuild_restores(tmp_path, kind):
                                         backend=SeedFaults(MockBackendProvider(spec)))
     reasons = set()
     for ev in store.events(run_id):
-        if ev.kind == "IterationCommitted":
-            record = ev.payload["record"]
+        if ev["kind"] == "IterationCommitted":
+            record = ev["payload"]["record"]
             kept = _kept(kind, record)
             assert ("solution_text" in record, "answer" in record and kept) == (not kept, False)
             assert None not in record.values()
@@ -907,14 +908,15 @@ def v3_lines(events) -> list[bytes]:
     numbered by its attempt within its phase, and a RunFinalized line last."""
     lines = []
     for ev in events:
-        if ev.kind == "IterationCommitted":
+        if ev["kind"] == "IterationCommitted":
             calls, attempts = [], {}
-            for c in ev.payload["calls"]:
+            for c in ev["payload"]["calls"]:
                 attempts[c["phase"]] = attempts.get(c["phase"], -1) + 1
                 calls.append({"phase": c["phase"], "attempt": attempts[c["phase"]], **c})
-            ev = Event(ev.seq, ev.trial_id, ev.kind, dict(ev.payload, calls=calls), ev.ts)
+            ev = dict(ev, payload=dict(ev["payload"], calls=calls))
         lines.append(log_line(ev))
-    return lines + [log_line(Event(len(events) + 1, None, "RunFinalized", {}, 0.0))]
+    return lines + [log_line({"seq": len(events) + 1, "ts": 0.0, "trial": None,
+                               "kind": "RunFinalized", "payload": {}})]
 
 
 @pytest.mark.parametrize("kind", [DSER, VERDEP])
@@ -944,8 +946,8 @@ def test_v3_log_analyzes_and_resumes_as_before(tmp_path, kind):
     resume_experiment(cut, run_id, SeedFaults(MockBackendProvider(spec)), store_sync="flush")
     assert committed_view(cut.load_run(run_id)[1]) == committed_view(states)
     assert cut.manifest(run_id)["schema_version"] == 3
-    untimed = [(ev.seq, ev.trial_id, ev.kind, ev.payload) for ev in cut.events(run_id)]
-    assert untimed == [(ev.seq, ev.trial_id, ev.kind, ev.payload)
+    untimed = [(ev["seq"], ev["trial"], ev["kind"], ev["payload"]) for ev in cut.events(run_id)]
+    assert untimed == [(ev["seq"], ev["trial"], ev["kind"], ev["payload"])
                        for ev in v3.events(run_id)[:i] + events[i:]]
 
 
@@ -1014,3 +1016,37 @@ def test_malformed_line_sweep(tmp_path, kind):
                     print(f"line {i} {path} = {value!r}: {e!r}")
     assert cases > 1000
     assert failures == 0
+
+
+# every kind some schema wrote: schema 4's two, schema 1's per-call kinds and
+# the RunFinalized line, with no trial, that schemas 1-3 ended a run with
+SCHEMA_KINDS = ("IterationCommitted", "TrialExited", "SolveStarted", "CallSent", "CallReceived",
+                "RunFinalized")
+
+
+@pytest.mark.parametrize("kind", [DSER, VERDEP])
+def test_kind_no_schema_wrote_is_corrupt(tmp_path, kind):
+    # a line whose kind is set to any other value, the last line's too, is a
+    # corrupt log, and so is a line with no trial of any kind but RunFinalized
+    spec = make_spec(**VERDEP_SPEC)
+    store, run_id = run_mock_experiment(tmp_path, k=2, horizon=3, kind=kind, parallelism=1,
+                                        spec=spec, store_sync="flush", accept_limit=2,
+                                        reject_limit=2,
+                                        backend=SeedFaults(MockBackendProvider(spec)))
+    inputs = run_inputs(store.manifest(run_id))
+    lines = run_dir(store.root, run_id).joinpath("events.log").read_bytes().splitlines(True)
+    others = [value for value in SWEEP_VALUES if value is not DELETE]
+    for i, line in enumerate(lines):
+        event = json.loads(line)
+        for value in others + ["RunFinalized"]:
+            edited = json.dumps(dict(event, kind=value)).encode() + b"\n"
+            with pytest.raises(CorruptLog, match=f"event seq {i + 1} does not build"):
+                read_back(inputs, b"".join(lines[:i]) + edited + b"".join(lines[i + 1:]))
+    last = {"seq": len(lines) + 1, "ts": 0.0, "trial": None, "payload": {}}
+    for value in others + list(SCHEMA_KINDS[:-1]):
+        with pytest.raises(CorruptLog, match="has no trial"):
+            read_back(inputs, b"".join(lines) + json.dumps(dict(last, kind=value)).encode()
+                      + b"\n")
+    assert read_back(inputs, b"".join(lines) + json.dumps(dict(last, kind="RunFinalized"))
+                     .encode() + b"\n") == []
+

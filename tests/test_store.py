@@ -46,7 +46,7 @@ def test_append_sequence_increases(tmp_path):
     log.close()
     assert s2 == s1 + 1
     events = store.events("r1")
-    assert [e.seq for e in events] == [s1, s2]
+    assert [e["seq"] for e in events] == [s1, s2]
 
 
 def test_append_line_is_compact_json(tmp_path):
@@ -119,7 +119,7 @@ def test_trailing_partial_line_discarded(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw + b'{"seq":3,"ts":1,"tr')
     events = store.events("r1")
-    assert [e.kind for e in events] == ["A", "B"]
+    assert [e["kind"] for e in events] == ["A", "B"]
 
 
 def test_sequence_gap_is_corrupt(tmp_path):
@@ -188,7 +188,7 @@ def test_undecodable_last_line_discarded(tmp_path):
     lines = path.read_bytes().splitlines(keepends=True)
     valid = b"".join(lines[:2])
     path.write_bytes(valid + CORRUPT_LINE_EDITS["undecodable"](lines[2]))
-    assert [e.kind for e in store.events("r1")] == ["A", "B"]
+    assert [e["kind"] for e in store.events("r1")] == ["A", "B"]
     log = store.open_log("r1")
     assert path.read_bytes() == valid
     assert log.append("C", {}) == 3
@@ -214,7 +214,7 @@ def test_non_integer_seq_first_and_last_line(tmp_path, edit):
         store.events("r1")
     assert err.value.valid_prefix_events == 0
     path.write_bytes(b"\n".join(lines[:2] + [edit(lines[2])]) + b"\n")
-    assert [e.kind for e in store.events("r1")] == ["A", "B"]
+    assert [e["kind"] for e in store.events("r1")] == ["A", "B"]
 
 
 def test_any_prefix_loads(tmp_path):
@@ -228,7 +228,7 @@ def test_any_prefix_loads(tmp_path):
     for cut in range(0, len(raw), 37):
         path.write_bytes(raw[:cut])
         events = store.events("r1")
-        assert [e.seq for e in events] == list(range(1, len(events) + 1))
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
     path.write_bytes(raw)
 
 
@@ -244,7 +244,7 @@ def test_append_after_partial_tail_starts_fresh_line(tmp_path):
     log = store.open_log("r1")
     assert log.append("C", {}) == 3
     log.close()
-    assert [e.kind for e in store.events("r1")] == ["A", "B", "C"]
+    assert [e["kind"] for e in store.events("r1")] == ["A", "B", "C"]
 
 
 @pytest.mark.parametrize("tail", [b'{"seq":3,"ts":1,"tr', b'{"seq":3,"ts":1,"tr\n'])
@@ -275,7 +275,7 @@ def test_open_cut_log_reads_once(tmp_path, monkeypatch, tail):
     assert path.read_bytes() == valid
     assert log.append("C", {}) == 3
     log.close()
-    assert [e.kind for e in store.events("r1")] == ["A", "B", "C"]
+    assert [e["kind"] for e in store.events("r1")] == ["A", "B", "C"]
 
 
 def test_manifest_round_trip(tmp_path):
