@@ -24,8 +24,6 @@ def render_line_chart(series: dict[str, list[tuple[float, float]]], title: str =
     y_min, y_max = min(0.0, min(ys)), max(1.0, max(ys))
     if x_max == x_min:
         x_max = x_min + 1
-    if y_max == y_min:
-        y_max = y_min + 1
 
     def sx(x: float) -> float:
         return MARGIN + (x - x_min) / (x_max - x_min) * (WIDTH - 2 * MARGIN)

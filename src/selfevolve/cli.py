@@ -168,8 +168,9 @@ def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
     acp = markov.AbsorbingChainParams(
         alpha=alpha, beta=beta, y_c0=y_c0, y_i0=y_i0,
         accept_limit=accept_limit, reject_limit=reject_limit)
-    counts = markov.verdep_exit_counts(acp, samples, seed, max_iterations,
-                                       initial_state=start)
+    counts = {"Accepted": 0, "Rejected": 0, "Budget": 0}
+    for i in range(samples):
+        counts[markov.simulate_verdep_chain(acp, seed + i, max_iterations, start)[0]] += 1
     fractions = {k: v / samples for k, v in counts.items()}
     click.echo(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
     if csv_path:

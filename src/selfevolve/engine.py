@@ -63,8 +63,6 @@ COMPLETED = "completed"
 ACCEPTED_EXIT = "accepted_exit"
 REJECTED_EXIT = "rejected_exit"
 
-TERMINAL_STATUSES = {COMPLETED, ACCEPTED_EXIT, REJECTED_EXIT}
-
 FAILURE_TRUNCATED = "truncated"
 FAILURE_UNPARSEABLE = "unparseable"
 FAILURE_BACKEND = "backend_error"
@@ -489,28 +487,46 @@ def _run(store: RunStore, run_id: str, inputs: RunInputs, backend,
     The log is read once, by the append handle, and the trial states are
     rebuilt from the events it parsed (none for a fresh run), which are then
     dropped; a finished run has no trial left to run, so it appends nothing.
+    On threads, an interrupt or a worker's first error is raised once the
+    calls in flight finish; no trial and no backend call starts after it.
     """
     log = store.open_log(run_id, sync=store_sync)
     try:
         states = rebuild_trial_states(inputs, log.events)
         log.events = []
-        per_problem = hasattr(backend, "for_problem")
-
-        def worker(st: TrialState) -> None:
-            problem = inputs.problems[st.problem_id]
-            run_trial(inputs.controller,
-                      backend.for_problem(problem) if per_problem else backend,
-                      problem.statement, inputs.prompts, st.seed, log, state=st)
-
-        pending = [st for st in states.values() if st.status not in TERMINAL_STATUSES]
-        if per_problem:
+        pending = [st for st in states.values() if st.status == RUNNING]
+        if hasattr(backend, "for_problem"):
             # only the in-process mock needs each problem's answer, and its
             # calls never wait: under the interpreter lock, threads only slow it
             for st in pending:
-                worker(st)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                problem = inputs.problems[st.problem_id]
+                run_trial(inputs.controller, backend.for_problem(problem), problem.statement,
+                          inputs.prompts, st.seed, log, state=st)
+            return
+        from concurrent.futures import CancelledError, ThreadPoolExecutor
+        stop: list[BaseException | None] = []  # an entry stops the run
+
+        class Stoppable:  # a refusal is no BackendError, so no trial commits it
+            def reasoning_call(self, request):
+                if stop:
+                    raise CancelledError("the run is stopping")
+                return backend.reasoning_call(request)
+
+        def worker(st: TrialState) -> None:
+            try:
+                if not stop:
+                    run_trial(inputs.controller, Stoppable(),
+                              inputs.problems[st.problem_id].statement, inputs.prompts, st.seed,
+                              log, state=st)
+            except BaseException as e:
+                stop.append(e)
+
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            try:
                 list(pool.map(worker, pending))
+            finally:  # after an interrupt, the trials still running stop
+                stop.append(None)
+        if stop[0] is not None:
+            raise stop[0]
     finally:
         log.close()

@@ -222,20 +222,3 @@ def simulate_verdep_chain(
     exit_kind = ("Accepted" if passes >= accept_limit else
                  "Rejected" if fails >= reject_limit else "Budget")
     return exit_kind, correct, verdicts
-
-
-def verdep_exit_counts(
-    acp: AbsorbingChainParams,
-    n_samples: int,
-    seed: int,
-    max_iterations: int,
-    initial_state: str = INCORRECT,
-) -> dict[str, int]:
-    """Pooled exit kinds over n_samples step-level runs (reject limit allowed)."""
-    counts = {"Accepted": 0, "Rejected": 0, "Budget": 0}
-    for i in range(n_samples):
-        exit_kind, _, _ = simulate_verdep_chain(
-            acp, seed=seed + i, max_iterations=max_iterations, initial_state=initial_state
-        )
-        counts[exit_kind] += 1
-    return counts

@@ -77,21 +77,21 @@ class RunLog:
         self._sync = sync_mode(sync)
         self._lock = threading.Lock()
         self.events: list[dict] = []
-        if path.exists():
-            with open(path, "rb") as fh:
-                self.events, valid = _read_events(fh)
-            if valid < path.stat().st_size:
-                # drop the interrupted final write so new appends start on a
-                # fresh line instead of extending the partial one
-                with open(path, "r+b") as fh:
-                    fh.truncate(valid)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-        self._next_seq = len(self.events) + 1
         try:
+            if path.exists():
+                with open(path, "rb") as fh:
+                    self.events, valid = _read_events(fh)
+                if valid < path.stat().st_size:
+                    # drop the interrupted final write so new appends start on
+                    # a fresh line instead of extending the partial one
+                    with open(path, "r+b") as fh:
+                        fh.truncate(valid)
+                        fh.flush()
+                        os.fsync(fh.fileno())
             self._fh = open(path, "ab")
         except OSError as e:
             raise StoreUnavailable(str(e)) from e
+        self._next_seq = len(self.events) + 1
 
     def append(self, kind: str, payload: dict, trial_id: tuple[str, int] | None = None) -> int:
         """Write one event; it is durable (per sync mode) before returning."""
@@ -210,11 +210,13 @@ class RunStore:
         return RunLog(d / "events.log", sync=sync)
 
     def events(self, run_id: str) -> list[dict]:
-        path = run_dir(self.root, run_id) / "events.log"
-        if not path.exists():
+        try:
+            with open(run_dir(self.root, run_id) / "events.log", "rb") as fh:
+                return _read_events(fh)[0]
+        except FileNotFoundError:
             return []
-        with open(path, "rb") as fh:
-            return _read_events(fh)[0]
+        except OSError as e:
+            raise StoreUnavailable(str(e)) from e
 
     def load_run(self, run_id: str):
         """Rebuild (manifest, trial states) purely from committed events."""

@@ -140,3 +140,12 @@ def test_extract_answer_keyed_on_content():
     assert a == b and a is not b
     assert extract_answer(a) == extract_answer(b) == AnswerKey("42")
     assert extract_answer(a.replace("42", "43")) == AnswerKey("43")
+
+
+@pytest.mark.parametrize("raw,expected", [
+    ("\\text{\\frac{1}{2}}", "\\frac{1}{2}"),  # braces inside the wrapper
+    ("\\text{a}+\\text{b}", "\\text{a}+\\text{b}"),  # two wrappers, not one
+    ("\\textbf{{x}", "\\textbf{{x}"),  # a brace left open
+])
+def test_wrapper_strips_only_a_balanced_argument(raw, expected):
+    assert normalize_answer(raw).canonical == expected

@@ -80,3 +80,30 @@ def test_bench_traced_pass_reads_every_layer(tmp_path, monkeypatch):
     assert len(metrics) == 24
     assert all(math.isfinite(value) for value in metrics.values()), metrics
 
+
+
+def test_bench_traced_http_pass_reads_every_layer(tmp_path, monkeypatch):
+    # one traced pass of verdep_http shrunk to 1 problem x K=4, budget 6 and
+    # A=R=2, against the loopback stub: the HTTP path's spans and the stub's
+    # own timings must feed every layer's metric
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing, workloads = map(importlib.import_module, ("tracing", "workloads"))
+
+    class SmallVerdepHttp(workloads.VerdepHttp):
+        n_problems, k = 1, 4
+        config = engine.ControllerConfig(kind="verdep", max_iterations=6, accept_limit=2,
+                                         reject_limit=2)
+
+    wl = SmallVerdepHttp(7, tmp_path)
+    try:
+        wl.setup(0)
+        tracer = tracing.Tracer()
+        out, errors = workloads.measure_pass(wl, 0, tracer)
+    finally:
+        if hasattr(wl, "http"):  # the backend's keep-alive sockets
+            wl.http.close()
+        wl.close()
+    assert errors == []
+    metrics = tracing.layer_metrics(tracer, out["stub"])
+    assert len(metrics) == 24
+    assert all(math.isfinite(value) for value in metrics.values()), metrics

@@ -14,13 +14,13 @@ from click.testing import CliRunner
 from selfevolve import engine
 from selfevolve.answers import normalize_answer
 from selfevolve.backend import MockBackendProvider, mock_spec_from_dict
-from selfevolve.cli import main
+from selfevolve.cli import _exit_on_error, main
 from selfevolve.config import ConfigInvalid, load_problems, read_config
 from selfevolve.engine import ControllerConfig, Problem, PromptSet, run_inputs
 from selfevolve.store import RunStore, config_hash, run_dir
 
 from fixtures import CORRUPT_LINE_EDITS
-from stub_server import StubChatServer
+from stub_server import StubChatServer, completion
 
 
 BASE_CONFIG = """\
@@ -520,6 +520,24 @@ def test_cli_refuses_damaged_manifest(workspace, command, damage, code):
     # stamped one without its config fails its config_hash (exit 3)
     result = refused(workspace, command, damage)
     assert result.exit_code == code, result.output
+
+
+@pytest.mark.parametrize("command", ["resume", "analyze"])
+def test_cli_unreadable_log_is_store_unavailable(workspace, command):
+    # an event log that cannot be read exits 5, as an unreadable manifest
+    # does, and the run directory is left as it was
+    run_id = run_cli_experiment(workspace)
+    directory = run_dir(workspace / "out" / "runs", run_id)
+    (directory / "events.log").unlink()
+    (directory / "events.log").mkdir()
+    before = {p: p.read_bytes() if p.is_file() else None for p in directory.rglob("*")}
+    out = ["--out", workspace / "a"] if command == "analyze" else []
+    result = invoke(command, run_id, "--runs-dir", workspace / "out" / "runs", *out)
+    assert result.exit_code == 5, result.output
+    assert "error: store unavailable: " in result.output
+    assert "Is a directory" in result.output
+    assert {p: p.read_bytes() if p.is_file() else None for p in directory.rglob("*")} == before
+    assert not (workspace / "a").exists()
 
 
 def api_run(workspace):
@@ -1087,6 +1105,50 @@ def test_cli_run_killed_resumes_to_the_uninterrupted_run(tmp_path):
             == report_bytes(whole / "out" / "reports" / whole_id))
 
 
+# a shell's background job starts with SIGINT ignored, and a child inherits
+# that; the CLI process restores Python's handler, as an interactive one has
+CLI_WITH_SIGINT = ("import signal; signal.signal(signal.SIGINT, signal.default_int_handler); "
+                   "from selfevolve.cli import main; main()")
+
+
+def test_cli_http_run_stops_on_sigint(workspace):
+    # Ctrl-C stops a threaded run: the calls in flight finish, no other call
+    # starts, the process exits at once, and a resume finishes every trial
+    reply = dict(completion("\\boxed{1}"), delay_s=0.05)
+    with StubChatServer([reply] * 200) as server:
+        http = f"backend:\n  endpoint: {server.endpoint}\n  model: m\n"
+        (workspace / "http.yaml").write_text(BASE_CONFIG.replace(MOCK_SECTION, http)
+                                             .replace("max_iterations: 3", "max_iterations: 10"))
+        env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).resolve().parents[1]))
+        child = subprocess.Popen([sys.executable, "-c", CLI_WITH_SIGINT, "run", "http.yaml"],
+                                 cwd=workspace, env=env, stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(server.requests) < 10 and time.monotonic() < deadline:
+                time.sleep(0.002)
+            signalled = time.monotonic()
+            child.send_signal(signal.SIGINT)
+            _, stderr = child.communicate(timeout=30)
+            stopped = time.monotonic() - signalled
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 1, stderr
+        assert "Aborted!" in stderr
+        assert stopped < 2.0
+        assert sum(arrival > signalled for arrival in server.arrivals) <= 2  # parallelism
+        runs = workspace / "out" / "runs"
+        [log] = runs.glob("*/events.log")
+        assert log.read_bytes().endswith(b"\n")
+        run_id = log.parent.name
+        assert engine.RUNNING in {st.status for st in RunStore(runs).load_run(run_id)[1].values()}
+        result = invoke("resume", run_id, "--runs-dir", runs)
+        assert result.exit_code == 0, result.output
+    states = RunStore(runs).load_run(run_id)[1]
+    assert [(st.status, len(st.records)) for st in states.values()] == [("completed", 11)] * 2
+
+
 # --- exit codes in a fresh process -------------------------------------------
 
 def run_cli_process(*args, cwd=None):
@@ -1119,3 +1181,9 @@ def test_cli_exit_codes_in_a_fresh_process(workspace):
     result = run_cli_process("analyze", "nope", "--runs-dir", runs, "--out", workspace / "a")
     assert (result.returncode, result.stdout) == (5, "")
     assert result.stderr.startswith("error: store unavailable: no readable manifest for run nope")
+
+
+def test_exit_on_error_reraises_what_the_table_does_not_name():
+    with pytest.raises(RuntimeError, match="not in the table"):
+        with _exit_on_error():
+            raise RuntimeError("not in the table")

@@ -25,7 +25,7 @@ from selfevolve.engine import (
     COMPLETED,
     DSER,
     REJECTED_EXIT,
-    TERMINAL_STATUSES,
+    RUNNING,
     VERDEP,
     ControllerConfig,
     IterationRecord,
@@ -445,6 +445,44 @@ def test_plain_backend_fills_parallelism_slots(tmp_path):
     backend = Blocking()
     run_mock_experiment(tmp_path, k=6, horizon=2, parallelism=3, backend=backend)
     assert backend.peak == 3
+
+
+def test_worker_error_stops_a_threaded_run(tmp_path):
+    # after a worker's error, no trial and no call starts, and the run raises
+    # that error once the calls in flight finish; a resume finishes the run
+    class FailsOnFifth:
+        """Sleeps 5 ms in each call, and raises in the 5th."""
+
+        def __init__(self):
+            self.inner = MockBackend(make_spec())
+            self.lock = threading.Lock()
+            self.calls = 0
+            self.at_error = None  # the calls started when the 5th raised
+
+        def reasoning_call(self, request):
+            with self.lock:
+                self.calls += 1
+                n = self.calls
+            time.sleep(0.005)
+            if n == 5:
+                with self.lock:
+                    self.at_error = self.calls
+                raise RuntimeError("the fifth call fails")
+            return self.inner.reasoning_call(request)
+
+    store = RunStore(tmp_path / "runs")
+    problems = [Problem("p0", "what is the answer?", AnswerKey("60"))]
+    config = ControllerConfig(kind=DSER, max_iterations=10)
+    backend = FailsOnFifth()
+    with pytest.raises(RuntimeError, match="the fifth call fails"):
+        run_experiment(problems, 6, config, backend, PROMPTS, 7, store, parallelism=2,
+                       run_id="r", store_sync="flush")
+    assert backend.calls - backend.at_error <= 2  # parallelism
+    resume_experiment(store, "r", MockBackend(make_spec()))
+    whole = RunStore(tmp_path / "whole")
+    run_experiment(problems, 6, config, MockBackend(make_spec()), PROMPTS, 7, whole,
+                   parallelism=2, run_id="r", store_sync="flush")
+    assert committed_view(store.load_run("r")[1]) == committed_view(whole.load_run("r")[1])
 
 
 def test_rebuild_matches_live_states(tmp_path):
@@ -974,7 +1012,7 @@ def read_back(inputs, log: bytes):
     for pid, problem in inputs.problems.items():
         metric_rows([st for tid, st in sorted(states.items()) if tid[0] == pid],
                     problem.answer)
-    return [st for st in states.values() if st.status not in TERMINAL_STATUSES]
+    return [st for st in states.values() if st.status == RUNNING]
 
 
 @pytest.mark.parametrize("kind", [DSER, VERDEP])

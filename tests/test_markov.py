@@ -18,7 +18,6 @@ from selfevolve.markov import (
     simulate_chain,
     simulate_verdep_chain,
     stationary_distribution,
-    verdep_exit_counts,
 )
 
 from oracles import (
@@ -362,13 +361,6 @@ def test_verdep_step_level_matches_super_step():
     assert abs(accepted_correct / n - closed) <= 4 * se
 
 
-def test_verdep_exit_counts_partition():
-    acp = AbsorbingChainParams(alpha=0.3, beta=0.7, y_c0=0.5, y_i0=0.2,
-                               reject_limit=10)
-    counts = verdep_exit_counts(acp, 2000, seed=3, max_iterations=300)
-    assert sum(counts.values()) == 2000
-
-
 # --- parameter validation ----------------------------------------------------
 
 def test_invalid_probabilities_rejected():
@@ -380,6 +372,21 @@ def test_invalid_probabilities_rejected():
         AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, accept_limit=0)
     with pytest.raises(ValueError):
         AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, reject_limit=0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: evolve_distribution(TransitionParams(0.3, 0.1), StateDistribution(1.0, 0.0), -1),
+     "n must be >= 0"),
+    (lambda: simulate_chain(TransitionParams(0.3, 0.1), "X", 5, 0), "initial_state must be"),
+    (lambda: simulate_chain(TransitionParams(0.3, 0.1), CORRECT, -1, 0), "n_steps must be"),
+    (lambda: absorption_probabilities(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), "S3"),
+     "start must be"),
+    (lambda: simulate_verdep_chain(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), 0, 0),
+     "max_iterations must be >= 1"),
+], ids=["evolve_steps", "chain_start", "chain_steps", "absorb_start", "verdep_budget"])
+def test_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("limits", [

@@ -103,6 +103,26 @@ def test_missing_run(tmp_path):
         store.open_log("nope")
 
 
+def test_run_without_a_log_has_no_events(tmp_path):
+    assert make_store(tmp_path).events("r1") == []
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_failed_append_is_store_unavailable(tmp_path):
+    # a write the device refuses (ENOSPC) is StoreUnavailable, and its seq
+    # is not spent
+    store = make_store(tmp_path)
+    log = store.open_log("r1")
+    log._fh.close()
+    log._fh = open("/dev/full", "ab", buffering=0)
+    with pytest.raises(StoreUnavailable, match="No space left"):
+        log.append("A", {})
+    log._fh.close()
+    log._fh = open(run_dir(store.root, "r1") / "events.log", "ab")
+    assert log.append("A", {}) == 1
+    log.close()
+
+
 def test_duplicate_run(tmp_path):
     store = make_store(tmp_path)
     with pytest.raises(StoreUnavailable):
