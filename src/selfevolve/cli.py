@@ -18,9 +18,13 @@ _EXITS = {("engine", "ConfigInvalid"): (2, "invalid config: "),
 
 @contextmanager
 def _exit_on_error():
-    """Exits with the code _EXITS gives an error the body raises."""
+    """Exits with the code _EXITS gives an error the body raises, and with 5 on
+    an OSError: the store and config wrap theirs, so it is a report's write."""
     try:
         yield
+    except OSError as e:
+        click.echo(f"error: cannot write: {e}", err=True)
+        sys.exit(5)
     except Exception as e:
         for (module, name), (code, prefix) in _EXITS.items():
             kind = getattr(sys.modules.get(f"selfevolve.{module}"), name, None)
@@ -47,8 +51,8 @@ def cmd_run(config_path):
         description, output_dir = read_config(config_path)
         store = RunStore(output_dir / "runs")
         run_id = start_run(store, description)
-    write_run_reports(store, run_id, output_dir / "reports" / run_id)
-    click.echo(run_id)
+        click.echo(run_id)  # the run is committed, whatever its reports do
+        write_run_reports(store, run_id, output_dir / "reports" / run_id)
 
 
 @main.command("resume")
@@ -74,10 +78,10 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
                                    store_sync=run.store_sync) != run:
                 raise ConfigDrift("live config differs from the manifest snapshot")
         resume_experiment(store, run_id)
-    if reports_dir is not None:
-        from .reports import write_run_reports
-        write_run_reports(store, run_id, reports_dir)
-    click.echo(run_id)
+        click.echo(run_id)
+        if reports_dir is not None:
+            from .reports import write_run_reports
+            write_run_reports(store, run_id, reports_dir)
 
 
 @main.command("analyze")
@@ -115,19 +119,6 @@ def sim_stationary(p_ic, p_ci):
         pi = markov.stationary_distribution(params)
     click.echo(f"pi_c={pi.pi_c:.6f} pi_i={pi.pi_i:.6f} "
                f"lambda2={markov.convergence_rate(params):.6f}")
-
-
-@cmd_simulate.command("trajectory")
-@_prob_option("--p-ic")
-@_prob_option("--p-ci")
-@click.option("--start", type=click.Choice(["C", "I"]), default="I", show_default=True)
-@click.option("--steps", type=click.IntRange(min=0), default=50, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-def sim_trajectory(p_ic, p_ci, start, steps, seed):
-    """One seeded sample path of the two-state chain."""
-    from . import markov
-    params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
-    click.echo("".join(markov.simulate_chain(params, start, steps, seed)))
 
 
 @cmd_simulate.command("absorb")
@@ -175,8 +166,9 @@ def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
     click.echo(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
     if csv_path:
         from .reports import write_metrics_csv
-        write_metrics_csv(csv_path, [{"exit": k, "fraction": v} for k, v in fractions.items()],
-                          ["exit", "fraction"])
+        with _exit_on_error():
+            write_metrics_csv(csv_path, [{"exit": k, "fraction": v}
+                                         for k, v in fractions.items()], ["exit", "fraction"])
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Closed forms (stationary distribution, mixing rate, distribution after n
 steps, absorption probabilities) are computed directly from their formulas;
-step-level samplers realize the same processes. All simulators are
+a step-level sampler realizes the verification-dependent process. It is
 deterministic given a seed and safe to evaluate in parallel.
 """
 
@@ -131,26 +131,6 @@ def evolve_distribution(
     pi_c = params.p_ic / s
     c = pi_c + (initial.pi_c - pi_c) * (1.0 - s) ** n
     return StateDistribution(c, 1.0 - c)
-
-
-def simulate_chain(
-    params: TransitionParams, initial_state: str, n_steps: int, seed: int
-) -> list[str]:
-    """The states of one path of length n_steps + 1 starting at initial_state;
-    the same seed and params give the same path."""
-    if initial_state not in (CORRECT, INCORRECT):
-        raise ValueError(f"initial_state must be {CORRECT!r} or {INCORRECT!r}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    rng = random.Random(seed)
-    states = [initial_state]
-    correct = initial_state == CORRECT
-    for _ in range(n_steps):
-        flip_p = params.p_ci if correct else params.p_ic
-        if rng.random() < flip_p:
-            correct = not correct
-        states.append(CORRECT if correct else INCORRECT)
-    return states
 
 
 # ---------------------------------------------------------------------------

@@ -181,11 +181,14 @@ class RunStore:
         d = run_dir(self.root, run_id)
         if d.exists():
             raise StoreUnavailable(f"run {run_id} already exists")
-        d.mkdir(parents=True)
         manifest = dict(manifest, schema_version=SCHEMA_VERSION, **_stamps(manifest))
         tmp = d / "manifest.json.tmp"
-        tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, d / "manifest.json")
+        try:
+            d.mkdir(parents=True)
+            tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+            os.replace(tmp, d / "manifest.json")
+        except OSError as e:
+            raise StoreUnavailable(str(e)) from e
 
     def manifest(self, run_id: str) -> dict:
         """run_id's manifest: StoreUnavailable if it is not a readable JSON

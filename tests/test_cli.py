@@ -690,6 +690,53 @@ def test_cli_resume_missing_run(tmp_path):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_run_into_a_file_is_store_unavailable(workspace):
+    # an output_dir that is a regular file cannot hold the run: exit 5 with
+    # one error line, and nothing is written
+    (workspace / "afile").write_text("")
+    (workspace / "file.yaml").write_text(
+        BASE_CONFIG.replace("output_dir: out", "output_dir: afile"))
+    before = sorted(workspace.rglob("*"))
+    result = invoke("run", workspace / "file.yaml")
+    assert result.exit_code == 5, result.output
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: store unavailable: ")
+    assert result.stderr.count("\n") == 1
+    assert sorted(workspace.rglob("*")) == before
+    assert (workspace / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["run", "resume", "analyze", "simulate_verdep"])
+def test_cli_unwritable_report_exits_5(workspace, command):
+    # a report or CSV whose directory is a regular file exits 5 with one error
+    # line naming the path; run and resume print the run id first, since the
+    # run itself is committed
+    run_id = run_cli_experiment(workspace)
+    runs, blocker = workspace / "out" / "runs", workspace / "afile"
+    if command == "run":
+        blocker = workspace / "out" / "reports"
+        shutil.rmtree(blocker)
+    blocker.write_text("")
+    result = invoke(*{
+        "run": ["run", workspace / "config.yaml"],
+        "resume": ["resume", run_id, "--runs-dir", runs, "--reports-dir", blocker],
+        "analyze": ["analyze", run_id, "--runs-dir", runs, "--out", blocker],
+        "simulate_verdep": ["simulate", "verdep", "--alpha", "0.3", "--beta", "0.8",
+                            "--y-c0", "0.6", "--y-i0", "0.6", "--samples", "10",
+                            "--csv", blocker / "x.csv"]}[command])
+    assert result.exit_code == 5, result.output
+    assert result.stderr.startswith("error: cannot write: ")
+    assert result.stderr.count("\n") == 1
+    assert str(blocker) in result.stderr
+    assert blocker.read_text() == ""
+    printed = result.stdout.strip()
+    if command in ("run", "resume"):
+        assert (runs / printed / "manifest.json").is_file()
+        assert (printed == run_id) == (command == "resume")
+    else:
+        assert printed.startswith("" if command == "analyze" else "accepted=")
+
+
 def test_cli_analyze_idempotent(workspace):
     run_id = run_cli_experiment(workspace)
     runs = workspace / "out" / "runs"
@@ -978,16 +1025,6 @@ def test_simulate_absorb_singular():
     assert result.stderr == "error: det(I - Q) = 0.0; no absorption possible\n"
 
 
-def test_simulate_trajectory_deterministic():
-    args = ("simulate", "trajectory", "--p-ic", "0.3", "--p-ci", "0.1",
-            "--steps", "40", "--seed", "9")
-    a = invoke(*args)
-    b = invoke(*args)
-    assert a.exit_code == 0
-    assert a.output == b.output
-    assert set(a.output.strip()) <= {"C", "I"}
-
-
 def test_simulate_absorb_known_value():
     result = invoke("simulate", "absorb", "--alpha", "0.5", "--beta", "0.5",
                     "--y-c0", "0.5", "--y-i0", "0.5")
@@ -1009,13 +1046,12 @@ def test_simulate_verdep_csv(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ("trajectory", "--p-ic", "0.3", "--p-ci", "0.1", "--steps", "-1"),
     ("absorb", "--alpha", "0.5", "--beta", "0.5", "--y-c0", "0.5", "--y-i0", "0.5",
      "--accept-limit", "0"),
     *[("verdep", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.6", "--y-i0", "0.6",
        option, "0")
       for option in ("--samples", "--max-iterations", "--accept-limit", "--reject-limit")],
-], ids=["steps", "absorb_accept_limit", "samples", "max_iterations",
+], ids=["absorb_accept_limit", "samples", "max_iterations",
         "verdep_accept_limit", "reject_limit"])
 def test_simulate_rejects_out_of_range_integers(args):
     result = invoke("simulate", *args)

@@ -63,7 +63,6 @@ def test_cli_loads_no_command_module_before_a_command(args):
 
 @pytest.mark.parametrize("args", [
     ["stationary", "--p-ic", "0.3", "--p-ci", "0.1"],
-    ["trajectory", "--p-ic", "0.3", "--p-ci", "0.1", "--steps", "5"],
     ["absorb", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.9", "--y-i0", "0.3"],
     ["verdep", "--alpha", "0.3", "--beta", "0.8", "--y-c0", "0.9", "--y-i0", "0.3",
      "--samples", "10"],

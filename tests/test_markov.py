@@ -15,7 +15,6 @@ from selfevolve.markov import (
     absorption_probabilities,
     convergence_rate,
     evolve_distribution,
-    simulate_chain,
     simulate_verdep_chain,
     stationary_distribution,
 )
@@ -152,25 +151,6 @@ def test_absorption_matches_linear_solve():
             want = absorption_by_solve(acp, start)
             assert abs(got.p_correct_exit - want.p_correct_exit) <= tol
             assert abs(got.p_incorrect_exit - want.p_incorrect_exit) <= tol
-
-
-# --- trajectory simulation ---------------------------------------------------
-
-def test_simulate_chain_absorbing_by_construction():
-    states = simulate_chain(TransitionParams(0.0, 0.0), INCORRECT, 50, seed=3)
-    assert states == [INCORRECT] * 51
-
-
-def test_simulate_chain_deterministic():
-    params = TransitionParams(0.3, 0.1)
-    a = simulate_chain(params, INCORRECT, 200, seed=42)
-    b = simulate_chain(params, INCORRECT, 200, seed=42)
-    assert a == b
-
-
-def test_simulate_chain_length_and_start():
-    states = simulate_chain(TransitionParams(0.5, 0.5), CORRECT, 0, seed=1)
-    assert states == [CORRECT]
 
 
 def test_monte_carlo_matches_stationary():
@@ -377,13 +357,11 @@ def test_invalid_probabilities_rejected():
 @pytest.mark.parametrize("call,message", [
     (lambda: evolve_distribution(TransitionParams(0.3, 0.1), StateDistribution(1.0, 0.0), -1),
      "n must be >= 0"),
-    (lambda: simulate_chain(TransitionParams(0.3, 0.1), "X", 5, 0), "initial_state must be"),
-    (lambda: simulate_chain(TransitionParams(0.3, 0.1), CORRECT, -1, 0), "n_steps must be"),
     (lambda: absorption_probabilities(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), "S3"),
      "start must be"),
     (lambda: simulate_verdep_chain(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), 0, 0),
      "max_iterations must be >= 1"),
-], ids=["evolve_steps", "chain_start", "chain_steps", "absorb_start", "verdep_budget"])
+], ids=["evolve_steps", "absorb_start", "verdep_budget"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -1,0 +1,52 @@
+"""Every Python file of the project parses as the oldest Python that
+pyproject.toml allows, and imports no standard module newer than it, so an
+interpreter newer than the floor does not hide what the floor refuses."""
+
+import ast
+import re
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+FLOOR = tuple(int(n) for n in re.search(
+    r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
+# standard modules added after the floor
+NEWER_MODULES = {"tomllib"}
+
+
+def floor_problems(path: Path) -> list[str]:
+    """What in path the floor's interpreter would refuse."""
+    try:
+        tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
+    except SyntaxError as e:
+        return [f"{path}:{e.lineno}: {e.msg}"]
+    imports = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imports.append((node.lineno, node.module))
+    return [f"{path}:{line}: imports {name}" for line, name in imports
+            if name.split(".")[0] in NEWER_MODULES]
+
+
+def test_floor_is_the_oldest_ci_job():
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    versions = workflow["jobs"]["tests"]["strategy"]["matrix"]["python-version"]
+    assert min(tuple(int(n) for n in v.split(".")) for v in versions) == FLOOR
+
+
+def test_sources_parse_at_the_python_floor():
+    files = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+    assert len(files) > 30
+    assert [problem for path in files for problem in floor_problems(path)] == []
+
+
+def test_floor_refuses_newer_syntax_and_modules(tmp_path):
+    path = tmp_path / "newer.py"
+    path.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert "Exception groups" in floor_problems(path)[0]
+    for line in ("import tomllib", "from tomllib import loads", "import tomllib as t"):
+        path.write_text(line + "\n")
+        assert floor_problems(path) == [f"{path}:1: imports tomllib"]
