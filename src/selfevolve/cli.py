@@ -1,11 +1,9 @@
 """Operator CLI: launch/resume experiments, pure chain simulations, analysis."""
 
-from __future__ import annotations
-
+import argparse
+import os
 import sys
-from contextlib import contextmanager
-
-import click
+from contextlib import contextmanager, suppress
 
 # what a command exits with on each error, and its message's prefix. An error
 # is named by its module and class, so that a command loads only the modules
@@ -23,24 +21,26 @@ def _exit_on_error():
     try:
         yield
     except OSError as e:
-        click.echo(f"error: cannot write: {e}", err=True)
+        print(f"error: cannot write: {e}", file=sys.stderr)
         sys.exit(5)
     except Exception as e:
         for (module, name), (code, prefix) in _EXITS.items():
             kind = getattr(sys.modules.get(f"selfevolve.{module}"), name, None)
             if kind is not None and isinstance(e, kind):
-                click.echo(f"error: {prefix}{e}", err=True)
+                print(f"error: {prefix}{e}", file=sys.stderr)
                 sys.exit(code)
         raise
 
 
-@click.group()
-def main():
+def main(argv: list[str] | None = None) -> None:
     """Self-evolving reasoning experiment engine."""
+    args = vars(_parser().parse_args(argv))
+    try:
+        args.pop("command")(**args)
+    except KeyboardInterrupt:
+        sys.exit("Aborted!")  # on stderr, with exit status 1
 
 
-@main.command("run")
-@click.argument("config_path", type=click.Path(exists=True))
 def cmd_run(config_path):
     """Launch an experiment described by a config file; prints the run id."""
     from .config import read_config
@@ -51,17 +51,10 @@ def cmd_run(config_path):
         description, output_dir = read_config(config_path)
         store = RunStore(output_dir / "runs")
         run_id = start_run(store, description)
-        click.echo(run_id)  # the run is committed, whatever its reports do
+        print(run_id, flush=True)  # the run is committed, whatever its reports do
         write_run_reports(store, run_id, output_dir / "reports" / run_id)
 
 
-@main.command("resume")
-@click.argument("run_id")
-@click.option("--runs-dir", type=click.Path(), default="out/runs", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="Config file the run must still match: its problems, run seed, trial "
-                   "count, controller, prompts and mock or backend (exit 3 if not).")
-@click.option("--reports-dir", type=click.Path(), default=None)
 def cmd_resume(run_id, runs_dir, config_path, reports_dir):
     """Complete the remaining trials of a run; a completed run is a no-op."""
     import dataclasses
@@ -78,16 +71,12 @@ def cmd_resume(run_id, runs_dir, config_path, reports_dir):
                                    store_sync=run.store_sync) != run:
                 raise ConfigDrift("live config differs from the manifest snapshot")
         resume_experiment(store, run_id)
-        click.echo(run_id)
+        print(run_id, flush=True)
         if reports_dir is not None:
             from .reports import write_run_reports
             write_run_reports(store, run_id, reports_dir)
 
 
-@main.command("analyze")
-@click.argument("run_id")
-@click.option("--runs-dir", type=click.Path(), default="out/runs", show_default=True)
-@click.option("--out", "out_dir", type=click.Path(), required=True)
 def cmd_analyze(run_id, runs_dir, out_dir):
     """Recompute metric tables and charts from a run's event log, up to the
     iteration each problem's trials have all reached."""
@@ -96,38 +85,19 @@ def cmd_analyze(run_id, runs_dir, out_dir):
     with _exit_on_error():
         written = write_run_reports(RunStore(runs_dir), run_id, out_dir)
     for path in written:
-        click.echo(str(path))
+        print(path)
 
 
-@main.group("simulate")
-def cmd_simulate():
-    """Pure Markov-chain simulations and closed-form analyses."""
-
-
-def _prob_option(name, **kw):
-    return click.option(name, type=click.FloatRange(0.0, 1.0), required=True, **kw)
-
-
-@cmd_simulate.command("stationary")
-@_prob_option("--p-ic")
-@_prob_option("--p-ci")
 def sim_stationary(p_ic, p_ci):
     """Stationary split and mixing rate of the two-state chain."""
     from . import markov
     params = markov.TransitionParams(p_ic=p_ic, p_ci=p_ci)
     with _exit_on_error():
         pi = markov.stationary_distribution(params)
-    click.echo(f"pi_c={pi.pi_c:.6f} pi_i={pi.pi_i:.6f} "
-               f"lambda2={markov.convergence_rate(params):.6f}")
+    print(f"pi_c={pi.pi_c:.6f} pi_i={pi.pi_i:.6f} "
+          f"lambda2={markov.convergence_rate(params):.6f}")
 
 
-@cmd_simulate.command("absorb")
-@_prob_option("--alpha")
-@_prob_option("--beta")
-@_prob_option("--y-c0")
-@_prob_option("--y-i0")
-@click.option("--accept-limit", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--start", type=click.Choice(["S1", "S2"]), default="S2", show_default=True)
 def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
     """Closed-form absorption probabilities of the simplified 4-state chain."""
     from . import markov
@@ -135,23 +105,10 @@ def sim_absorb(alpha, beta, y_c0, y_i0, accept_limit, start):
                                       y_i0=y_i0, accept_limit=accept_limit)
     with _exit_on_error():
         result = markov.absorption_probabilities(acp, start)
-    click.echo(f"p_correct_exit={result.p_correct_exit:.6f} "
-               f"p_incorrect_exit={result.p_incorrect_exit:.6f}")
+    print(f"p_correct_exit={result.p_correct_exit:.6f} "
+          f"p_incorrect_exit={result.p_incorrect_exit:.6f}")
 
 
-@cmd_simulate.command("verdep")
-@_prob_option("--alpha")
-@_prob_option("--beta")
-@_prob_option("--y-c0")
-@_prob_option("--y-i0")
-@click.option("--accept-limit", type=click.IntRange(min=1), default=5, show_default=True)
-@click.option("--reject-limit", type=click.IntRange(min=1), default=None)
-@click.option("--start", type=click.Choice(["C", "I"]), default="I", show_default=True)
-@click.option("--samples", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--max-iterations", type=click.IntRange(min=1), default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Also write exit fractions as CSV.")
 def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
                samples, max_iterations, seed, csv_path):
     """Monte Carlo of the full verification-dependent chain with exit statistics."""
@@ -163,12 +120,69 @@ def sim_verdep(alpha, beta, y_c0, y_i0, accept_limit, reject_limit, start,
     for i in range(samples):
         counts[markov.simulate_verdep_chain(acp, seed + i, max_iterations, start)[0]] += 1
     fractions = {k: v / samples for k, v in counts.items()}
-    click.echo(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
+    print(" ".join(f"{k.lower()}={v:.6f}" for k, v in fractions.items()))
     if csv_path:
         from .reports import write_metrics_csv
         with _exit_on_error():
             write_metrics_csv(csv_path, [{"exit": k, "fraction": v}
                                          for k, v in fractions.items()], ["exit", "fraction"])
+
+
+def _checked(convert, test, what):
+    """An argument type: convert's value of the text, if test passes it."""
+    def parse(text):
+        with suppress(ValueError):
+            if test(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"Invalid value {text!r}: not {what}")
+    return parse
+
+
+def _parser():
+    """The command tree: each command's parser sets `command` to its function."""
+    default = "[default: %(default)s]"
+    probability = dict(type=_checked(float, lambda v: 0 <= v <= 1, "a number from 0 to 1"),
+                       required=True, metavar="P", help="from 0 to 1")
+    count = dict(type=_checked(int, lambda v: v >= 1, "an integer of at least 1"),
+                 metavar="N", help="at least 1 " + default)
+    existing_path = _checked(str, os.path.exists, "an existing path")
+
+    def add(commands, name, run, doc=None):
+        doc = doc or run.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(command=run)
+        return sub
+
+    parser = argparse.ArgumentParser(prog="selfevolve", description=main.__doc__)
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    add(commands, "run", cmd_run).add_argument("config_path", type=existing_path)
+    resume, analyze = add(commands, "resume", cmd_resume), add(commands, "analyze", cmd_analyze)
+    for sub in (resume, analyze):
+        sub.add_argument("run_id")
+        sub.add_argument("--runs-dir", default="out/runs", metavar="PATH", help=default)
+    resume.add_argument("--config", dest="config_path", type=existing_path, metavar="PATH",
+                        help="Config file the run must still match: its problems, run seed, trial "
+                             "count, controller, prompts and mock or backend (exit 3 if not).")
+    resume.add_argument("--reports-dir", metavar="PATH")
+    analyze.add_argument("--out", dest="out_dir", required=True, metavar="PATH")
+    simulate = add(commands, "simulate", None, "Pure Markov-chain simulations and closed-form "
+                   "analyses.").add_subparsers(metavar="COMMAND", required=True)
+    stationary = add(simulate, "stationary", sim_stationary)
+    for flag in ("--p-ic", "--p-ci"):
+        stationary.add_argument(flag, **probability)
+    for name, run, starts in (("absorb", sim_absorb, ["S1", "S2"]),
+                              ("verdep", sim_verdep, ["C", "I"])):
+        chain = add(simulate, name, run)
+        for flag in ("--alpha", "--beta", "--y-c0", "--y-i0"):
+            chain.add_argument(flag, **probability)
+        chain.add_argument("--accept-limit", default=5, **count)
+        chain.add_argument("--start", choices=starts, default=starts[1], help=default)
+    chain.add_argument("--reject-limit", **count)  # verdep, the loop's last chain
+    for flag in ("--samples", "--max-iterations"):
+        chain.add_argument(flag, default=10000, **count)
+    chain.add_argument("--seed", type=int, default=0, help=default)
+    chain.add_argument("--csv", dest="csv_path", help="Also write exit fractions as CSV.")
+    return parser
 
 
 if __name__ == "__main__":

@@ -9,16 +9,16 @@ from pathlib import Path
 
 import pytest
 import yaml
-from click.testing import CliRunner
 
 from selfevolve import engine
 from selfevolve.answers import normalize_answer
 from selfevolve.backend import MockBackendProvider, mock_spec_from_dict
-from selfevolve.cli import _exit_on_error, main
+from selfevolve.cli import _exit_on_error
 from selfevolve.config import ConfigInvalid, load_problems, read_config
 from selfevolve.engine import ControllerConfig, Problem, PromptSet, run_inputs
 from selfevolve.store import RunStore, config_hash, run_dir
 
+from cli_harness import invoke
 from fixtures import CORRUPT_LINE_EDITS
 from stub_server import StubChatServer, completion
 
@@ -50,10 +50,6 @@ def workspace(tmp_path):
     (tmp_path / "config.yaml").write_text(BASE_CONFIG)
     (tmp_path / "problems.json").write_text(json.dumps(PROBLEMS))
     return tmp_path
-
-
-def invoke(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
 
 
 # --- config validation -------------------------------------------------------
@@ -1223,3 +1219,41 @@ def test_exit_on_error_reraises_what_the_table_does_not_name():
     with pytest.raises(RuntimeError, match="not in the table"):
         with _exit_on_error():
             raise RuntimeError("not in the table")
+
+
+# --- usage errors and help ---------------------------------------------------
+
+CHAIN = ("--alpha", "0.5", "--beta", "0.5", "--y-c0", "0.5", "--y-i0", "0.5")
+
+
+@pytest.mark.parametrize("args, culprit", [
+    (("simulate", "trajectory"), "trajectory"),
+    (("analyze", "RUN"), "--out"),
+    (("simulate", "stationary", "--p-ic", "1.5", "--p-ci", "0.1"), "Invalid value '1.5'"),
+    (("simulate", "absorb", *CHAIN, "--start", "X"), "'X'"),
+    (("simulate", "verdep", *CHAIN, "--samples", "abc"), "Invalid value 'abc'"),
+    (("run", "missing.yaml"), "Invalid value 'missing.yaml'"),
+], ids=["unknown_command", "analyze_without_out", "probability", "start", "samples", "no_config"])
+def test_cli_usage_error_exits_2(tmp_path, args, culprit):
+    # a usage error names what it refused, on stderr alone, without a traceback
+    result = run_cli_process(*args, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, ""), result.stderr
+    assert culprit in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command, names", [
+    ((), ["run", "resume", "analyze", "simulate"]),
+    (("run",), ["config_path"]),
+    (("resume",), ["run_id", "--runs-dir", "out/runs", "--config", "--reports-dir"]),
+    (("analyze",), ["run_id", "--runs-dir", "out/runs", "--out"]),
+    (("simulate",), ["stationary", "absorb", "verdep"]),
+    (("simulate", "stationary"), ["--p-ic", "--p-ci"]),
+    (("simulate", "absorb"), [*CHAIN[::2], "--accept-limit", "--start", "S1", "S2"]),
+    (("simulate", "verdep"), [*CHAIN[::2], "--accept-limit", "--reject-limit", "--start", "C",
+                              "--samples", "--max-iterations", "--seed", "--csv"]),
+], ids=["selfevolve", "run", "resume", "analyze", "simulate", "stationary", "absorb", "verdep"])
+def test_cli_help_names_every_option(command, names):
+    result = invoke(*command, "--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert [name for name in names if name not in result.stdout] == []

@@ -4,9 +4,9 @@ and email packages that `xml.sax.saxutils` would pull in, and orjson, which
 the store loads only when a log is read or written.
 
 The CLI loads a command's modules when that command runs: importing it, or
-asking for help, loads no other module of the package, and a `simulate`
-command adds only `markov`. Each case runs in a fresh interpreter, since the
-test process has loaded every module."""
+asking for help, loads no other module of the package and none from outside
+the standard library, and a `simulate` command adds only `markov`. Each case
+runs in a fresh interpreter, since the test process has loaded every module."""
 
 import json
 import subprocess
@@ -14,9 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from selfevolve.cli import main
+from cli_harness import invoke
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +70,30 @@ def test_simulate_loads_only_markov(args):
             == "['selfevolve', 'selfevolve.cli', 'selfevolve.markov']")
 
 
+def third_party_after(code: str) -> list[str]:
+    """The top-level names of the modules outside the standard library and the
+    package that a fresh interpreter loads while it runs code, whatever its
+    exit status; what the interpreter's site set-up loaded does not count."""
+    code = (f"import atexit, sys; sys.path.insert(0, {str(SRC)!r}); before = set(sys.modules); "
+            "atexit.register(lambda: print('loaded:', *sorted({m.split('.')[0] for m in "
+            "set(sys.modules) - before} - sys.stdlib_module_names - {'selfevolve'}))); " + code)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return out.stdout.splitlines()[-1].split()[1:]
+
+
+@pytest.mark.parametrize("args", [
+    None, ["--help"], ["simulate", "--help"], ["simulate", "bogus"],
+], ids=["import", "help", "simulate_help", "usage_error"])
+def test_cli_start_loads_only_the_standard_library(args):
+    # a third-party import here would be paid by every command's cold start
+    code = "from selfevolve.cli import main" + ("" if args is None else f"; main({args!r})")
+    assert third_party_after(code) == []
+
+
+def test_third_party_probe_sees_a_third_party_module():
+    assert "yaml" in third_party_after("import yaml")
+
+
 def test_store_imports_no_other_package_module():
     # the store owns the manifest's hashes and engine, config and cli import
     # it, so it may import none of them
@@ -89,11 +111,11 @@ def test_analyze_loads_none_of_them(tmp_path):
         "mock: {ground_truth: '60', initial_correct_probability: 0.5, p_ic: 0.3, p_ci: 0.1}\n"
         "controller: {kind: dser, max_iterations: 3}\n"
         "experiment: {problems: problems.json, k_trials: 2, run_seed: 11}\n")
-    result = CliRunner().invoke(main, ["run", str(tmp_path / "config.yaml")])
+    result = invoke("run", tmp_path / "config.yaml")
     assert result.exit_code == 0, result.output
     run_id = result.output.strip().splitlines()[-1]
     args = ["analyze", run_id, "--runs-dir", str(tmp_path / "out" / "runs"),
             "--out", str(tmp_path / "a")]
-    code = f"from selfevolve.cli import main; main({args!r}, standalone_mode=False)"
+    code = f"from selfevolve.cli import main; main({args!r})"
     assert loaded_after(code) == "['orjson']"  # the log reader's, by design
     assert (tmp_path / "a" / "metrics_p0.csv").exists()

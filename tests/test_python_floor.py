@@ -1,6 +1,6 @@
 """Every Python file of the project parses as the oldest Python that
-pyproject.toml allows, and imports no standard module newer than it, so an
-interpreter newer than the floor does not hide what the floor refuses."""
+pyproject.toml allows, and uses no standard module or name newer than it, so
+an interpreter newer than the floor does not hide what the floor refuses."""
 
 import ast
 import re
@@ -11,8 +11,12 @@ import yaml
 ROOT = Path(__file__).resolve().parents[1]
 FLOOR = tuple(int(n) for n in re.search(
     r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()).groups())
-# standard modules added after the floor
+# standard modules, and names in older ones, added after the floor
 NEWER_MODULES = {"tomllib"}
+NEWER_NAMES = {"typing": {"Self", "LiteralString", "Never", "assert_never"},
+               "enum": {"StrEnum"}, "asyncio": {"TaskGroup"}, "datetime": {"UTC"},
+               "contextlib": {"chdir"}, "hashlib": {"file_digest"},
+               "builtins": {"ExceptionGroup", "BaseExceptionGroup"}}
 
 
 def floor_problems(path: Path) -> list[str]:
@@ -21,14 +25,25 @@ def floor_problems(path: Path) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
     except SyntaxError as e:
         return [f"{path}:{e.lineno}: {e.msg}"]
-    imports = []
+    imports, names, modules = [], [], {}  # modules: a local name -> the module it binds
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imports += [(node.lineno, alias.name) for alias in node.names]
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module:
             imports.append((node.lineno, node.module))
-    return [f"{path}:{line}: imports {name}" for line, name in imports
-            if name.split(".")[0] in NEWER_MODULES]
+            names += [(node.lineno, node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.append((node.lineno, node.value.id, node.attr))
+        elif isinstance(node, ast.Name):
+            names.append((node.lineno, "builtins", node.id))
+    problems = [f"{path}:{line}: imports {name}" for line, name in imports
+                if name.split(".")[0] in NEWER_MODULES]
+    for line, module, name in names:
+        module = modules.get(module, module)
+        if name in NEWER_NAMES.get(module, ()):
+            problems.append(f"{path}:{line}: uses {module}.{name}")
+    return problems
 
 
 def test_floor_is_the_oldest_ci_job():
@@ -50,3 +65,20 @@ def test_floor_refuses_newer_syntax_and_modules(tmp_path):
     for line in ("import tomllib", "from tomllib import loads", "import tomllib as t"):
         path.write_text(line + "\n")
         assert floor_problems(path) == [f"{path}:1: imports tomllib"]
+    for text, name in [
+        ("from typing import Self", "typing.Self"),
+        ("import typing\nx: typing.LiteralString", "typing.LiteralString"),
+        ("from typing import Never", "typing.Never"),
+        ("import typing as t\nt.assert_never(0)", "typing.assert_never"),
+        ("from enum import StrEnum", "enum.StrEnum"),
+        ("import asyncio\nasyncio.TaskGroup()", "asyncio.TaskGroup"),
+        ("raise ExceptionGroup('x', [])", "builtins.ExceptionGroup"),
+        ("isinstance(0, BaseExceptionGroup)", "builtins.BaseExceptionGroup"),
+        ("import datetime\ndatetime.UTC", "datetime.UTC"),
+        ("from contextlib import chdir", "contextlib.chdir"),
+        ("import hashlib\nhashlib.file_digest", "hashlib.file_digest"),
+    ]:
+        path.write_text(text + "\n")  # the name is on the last line
+        assert floor_problems(path) == [f"{path}:{text.count(chr(10)) + 1}: uses {name}"], text
+    path.write_text("import typing\nfrom typing import Optional\ntyping.Optional\n")
+    assert floor_problems(path) == []
