@@ -3,17 +3,22 @@
 Closed forms (stationary distribution, mixing rate, distribution after n
 steps, absorption probabilities) are computed directly from their formulas;
 a step-level sampler realizes the verification-dependent process. It is
-deterministic given a seed and safe to evaluate in parallel.
+deterministic given a seed and safe to evaluate in parallel: its draws are
+64-bit words of blake2b blocks keyed by the signed decimal seed (counter-based,
+Salmon et al., SC 2011), so seeds s and -s differ. The stream replaced a
+Mersenne Twister: `simulate verdep` output per seed changed, within noise.
 """
 
 from __future__ import annotations
 
-import random
+import struct
 from dataclasses import dataclass
+from hashlib import blake2b
 from math import inf
 
 CORRECT = "C"
 INCORRECT = "I"
+_WORDS = struct.Struct("<8Q").unpack  # one 64-byte digest -> eight 64-bit draws
 
 
 class DegenerateChain(ValueError):
@@ -173,22 +178,31 @@ def simulate_verdep_chain(
     Each step verifies (pass w.p. beta if Correct else alpha), updates the
     streak counters (a pass resets the fail counter and vice versa), and on a
     fail refines with y_c0 / y_i0. A pass keeps the solution unchanged,
-    matching the analyzed 4-state matrix.
+    matching the analyzed 4-state matrix. A draw with probability p passes iff
+    its word is below int(p * 2**64): exact to 2**-64, p = 0 and 1 included.
 
     Returns (exit kind "Accepted" | "Rejected" | "Budget", final correctness,
     the verdicts in order, 1 for a pass).
     """
+    key = blake2b(str(_check_int("seed", seed)).encode("ascii"), digest_size=64)
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    random_ = random.Random(seed).random
-    alpha, beta, y_c0, y_i0 = acp.alpha, acp.beta, acp.y_c0, acp.y_i0
+    alpha, beta = int(acp.alpha * 2.0**64), int(acp.beta * 2.0**64)
+    y_c0, y_i0 = int(acp.y_c0 * 2.0**64), int(acp.y_i0 * 2.0**64)
+    words, w, block = _WORDS(key.digest()), 0, 0
     accept_limit = acp.accept_limit
     reject_limit = acp.reject_limit if acp.reject_limit is not None else inf
     correct = initial_state == CORRECT
     verdicts: list[int] = []
     passes = fails = 0
     for _ in range(max_iterations):
-        if random_() < (beta if correct else alpha):
+        if w > 6:  # a step needs up to two words: drop the spare, hash the next block
+            block += 1
+            h = key.copy()
+            h.update(block.to_bytes(8, "little"))
+            words, w = _WORDS(h.digest()), 0
+        if words[w] < (beta if correct else alpha):
+            w += 1
             passes += 1
             fails = 0
             verdicts.append(1)
@@ -196,7 +210,8 @@ def simulate_verdep_chain(
             fails += 1
             passes = 0
             verdicts.append(0)
-            correct = random_() < (y_c0 if correct else y_i0)
+            correct = words[w + 1] < (y_c0 if correct else y_i0)
+            w += 2
         if passes >= accept_limit or fails >= reject_limit:
             break
     exit_kind = ("Accepted" if passes >= accept_limit else

@@ -341,6 +341,46 @@ def test_verdep_step_level_matches_super_step():
     assert abs(accepted_correct / n - closed) <= 4 * se
 
 
+def test_verdep_signed_seeds_differ():
+    # Every path runs 64 fair verdicts unless 12 passes in a row end it first,
+    # so two independent paths coincide with probability 8.9e-8.
+    acp = AbsorbingChainParams(alpha=0.5, beta=0.5, y_c0=0.5, y_i0=0.5, accept_limit=12)
+    for seed in range(1, 200):
+        assert (simulate_verdep_chain(acp, seed, 64)
+                != simulate_verdep_chain(acp, -seed, 64)), seed
+
+
+@pytest.mark.parametrize("acp,n", [
+    (AbsorbingChainParams(alpha=0.3, beta=0.8, y_c0=0.9, y_i0=0.3), 300_000),
+    (AbsorbingChainParams(alpha=1e-3, beta=1e-3, y_c0=1 - 1e-3, y_i0=1e-3), 60_000),
+], ids=["generic", "extreme"])
+def test_verdep_stream_step_law(acp, n):
+    # One step from each start state: verify passes at beta from C and at alpha
+    # from I, and a refine after a fail is correct at y_c0 / y_i0. n gives each
+    # rate at least 50k trials; each is checked at 5 sigma of its binomial.
+    for start, pass_p, refine_p in ((CORRECT, acp.beta, acp.y_c0),
+                                    (INCORRECT, acp.alpha, acp.y_i0)):
+        steps = [simulate_verdep_chain(acp, seed, 1, start) for seed in range(n)]
+        refined = [correct for _, correct, (verdict,) in steps if not verdict]
+        for hits, trials, p in ((n - len(refined), n, pass_p),
+                                (sum(refined), len(refined), refine_p)):
+            assert trials >= 50_000
+            assert abs(hits - trials * p) <= 5 * (trials * p * (1 - p)) ** 0.5, (start, p)
+
+
+@pytest.mark.parametrize("acp,seed,budget,start,expected", [
+    (AbsorbingChainParams(alpha=0.3, beta=0.8, y_c0=0.9, y_i0=0.3), 0, 10_000, INCORRECT,
+     ("Accepted", True, [0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1])),
+    (AbsorbingChainParams(alpha=0.4, beta=0.8, y_c0=0.6, y_i0=0.25, reject_limit=3), -1, 12,
+     CORRECT, ("Budget", True, [1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 1, 1])),
+    (AbsorbingChainParams(alpha=0.4, beta=0.8, y_c0=0.6, y_i0=0.25, reject_limit=3), -4, 12,
+     CORRECT, ("Rejected", True, [1, 0, 0, 0])),
+], ids=["accepted", "budget", "rejected"])
+def test_verdep_stream_is_pinned(acp, seed, budget, start, expected):
+    # any change to the sampler's per-seed output shows here and must be stated
+    assert simulate_verdep_chain(acp, seed, budget, start) == expected
+
+
 # --- parameter validation ----------------------------------------------------
 
 def test_invalid_probabilities_rejected():
@@ -361,7 +401,12 @@ def test_invalid_probabilities_rejected():
      "start must be"),
     (lambda: simulate_verdep_chain(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), 0, 0),
      "max_iterations must be >= 1"),
-], ids=["evolve_steps", "absorb_start", "verdep_budget"])
+    (lambda: simulate_verdep_chain(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), 1.0, 5),
+     "seed must be an integer"),
+    (lambda: simulate_verdep_chain(AbsorbingChainParams(0.3, 0.8, 0.6, 0.6), True, 5),
+     "seed must be an integer"),
+], ids=["evolve_steps", "absorb_start", "verdep_budget", "verdep_seed_float",
+        "verdep_seed_bool"])
 def test_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

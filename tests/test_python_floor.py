@@ -25,7 +25,7 @@ def floor_problems(path: Path) -> list[str]:
         tree = ast.parse(path.read_text(encoding="utf-8"), feature_version=FLOOR)
     except SyntaxError as e:
         return [f"{path}:{e.lineno}: {e.msg}"]
-    imports, names, modules = [], [], {}  # modules: a local name -> the module it binds
+    imports, names, calls, modules = [], [], [], {}  # modules: a local name -> its module
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imports += [(node.lineno, alias.name) for alias in node.names]
@@ -37,8 +37,14 @@ def floor_problems(path: Path) -> list[str]:
             names.append((node.lineno, node.value.id, node.attr))
         elif isinstance(node, ast.Name):
             names.append((node.lineno, "builtins", node.id))
+        # before 3.11, int.to_bytes needs length and byteorder, from_bytes byteorder
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("to_bytes", "from_bytes")
+                and len(node.args) + len(node.keywords) < 2):
+            calls.append((node.lineno, node.func.attr))
     problems = [f"{path}:{line}: imports {name}" for line, name in imports
                 if name.split(".")[0] in NEWER_MODULES]
+    problems += [f"{path}:{line}: {name}() without byteorder" for line, name in calls]
     for line, module, name in names:
         module = modules.get(module, module)
         if name in NEWER_NAMES.get(module, ()):
@@ -81,4 +87,12 @@ def test_floor_refuses_newer_syntax_and_modules(tmp_path):
         path.write_text(text + "\n")  # the name is on the last line
         assert floor_problems(path) == [f"{path}:{text.count(chr(10)) + 1}: uses {name}"], text
     path.write_text("import typing\nfrom typing import Optional\ntyping.Optional\n")
+    assert floor_problems(path) == []
+    for text, name in [("(1).to_bytes(8)", "to_bytes"), ("n.to_bytes()", "to_bytes"),
+                       ("n.to_bytes(length=8)", "to_bytes"),
+                       ("int.from_bytes(b'x')", "from_bytes")]:
+        path.write_text(text + "\n")
+        assert floor_problems(path) == [f"{path}:1: {name}() without byteorder"], text
+    path.write_text("n.to_bytes(8, 'little')\nn.to_bytes(length=8, byteorder='big')\n"
+                    "int.from_bytes(b'x', 'big')\nint.from_bytes(b'x', byteorder='big')\n")
     assert floor_problems(path) == []
